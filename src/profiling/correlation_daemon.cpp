@@ -17,13 +17,12 @@ CorrelationDaemon::CorrelationDaemon(SamplingPlan& plan, std::uint32_t threads)
     : plan_(plan),
       threads_(threads),
       governor_(plan),
-      window_(threads, /*weighted=*/true),
       full_(threads, /*weighted=*/true),
       latest_(threads) {}
 
-void CorrelationDaemon::fold_arena(OalArena& arena) {
+void CorrelationDaemon::sanitize_arena(OalArena& arena) const {
   // Entries are external input: a class id beyond the registry must not tag
-  // the accumulator (the tag sizes class-indexed attribution vectors — the
+  // the epoch's CSR (the tag sizes class-indexed attribution vectors — the
   // same invariant note_epoch_entry enforces on the epoch stats).  Untagged
   // entries still fold into the map; they just carry no attribution.
   const std::size_t classes = plan_.heap().registry().size();
@@ -32,8 +31,6 @@ void CorrelationDaemon::fold_arena(OalArena& arena) {
       e.klass = kInvalidClass;
     }
   }
-  window_.add(arena);
-  total_entries_ += arena.entries.size();
 }
 
 void CorrelationDaemon::filter_arena(OalArena& arena) const {
@@ -75,7 +72,8 @@ std::size_t CorrelationDaemon::ingest(IngestHub& hub, bool quiesced) {
   std::size_t consumed = 0;
   const auto consume = [&](OalArena* a) {
     filter_arena(*a);
-    fold_arena(*a);
+    sanitize_arena(*a);
+    total_entries_ += a->entries.size();
     pending_slices_ += a->intervals.size();
     pending_arenas_.push_back(a);
     ++consumed;
@@ -84,8 +82,18 @@ std::size_t CorrelationDaemon::ingest(IngestHub& hub, bool quiesced) {
   if (quiesced) {
     for (OalArena* a : hub.take_stranded()) consume(a);
   }
-  window_fold_seconds_ += seconds_since(t0);
+  drain_seconds_ += seconds_since(t0);
   return consumed;
+}
+
+ReaderArena CorrelationDaemon::reorganize_pending() {
+  slices_.clear();
+  for (const OalArena* a : pending_arenas_) {
+    for (std::uint32_t i = 0; i < a->intervals.size(); ++i) {
+      slices_.push_back(ArenaSliceRef{a, i});
+    }
+  }
+  return TcmBuilder::reorganize_arena(slices_, /*weighted=*/true, scratch_);
 }
 
 EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
@@ -128,54 +136,41 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
     }
   }
 
-  // Per-class cell attribution runs against the window accumulator *before*
-  // it is consumed below: the sparse reader lists are the only place the
-  // "which classes produced these cells" question can still be answered
-  // without densifying per class.  Its O(sum readers^2) walk is coordinator
-  // map work like the folds, so it is timed into build_seconds below.
-  double attribution_seconds = 0.0;
+  // The epoch's one fold: a single CSR over every pending slice answers the
+  // window map, the per-class attribution, and the whole-run merge.  All of
+  // it is coordinator map work, timed into build_seconds (its meaning — the
+  // full construction cost of this window's map, drains included — is what
+  // the governor's budget model expects).
+  const auto tb = std::chrono::steady_clock::now();
+  const ReaderArena csr = reorganize_pending();
+  const UpperTriangle pairs = TcmBuilder::accrue_sparse(csr, threads_);
   if (want_cells) {
-    const auto ta = std::chrono::steady_clock::now();
-    out.cells = window_.attribute_cells(influence_placement_);
+    out.cells =
+        TcmBuilder::attribute_cells(csr, threads_, influence_placement_);
     out.cells.home_mass = std::move(home_mass);
-    attribution_seconds = seconds_since(ta);
   }
+  const auto td = std::chrono::steady_clock::now();
+  out.tcm = pairs.densify();
+  out.densify_seconds = seconds_since(td);
 
-  // The window's folds already ran at ingest() time; the epoch boundary only
-  // densifies the sparse accumulator.  build_seconds keeps its meaning (full
-  // construction cost of this window's map) so the governor's budget model
-  // is unchanged; densify_seconds is the part the master stalls on here.
-  const auto t0 = std::chrono::steady_clock::now();
-  out.tcm = window_.dense();
-  out.densify_seconds = seconds_since(t0);
-
-  // Merge the consumed window into the whole-run accumulator (ingested
-  // entries have no raw records to re-fold later, so build_full's map is fed
-  // eagerly here); under retention, periodically evict stale objects too.
-  // Coordinator map work like the folds, so it is timed into build_seconds.
-  double retention_seconds = 0.0;
-  {
-    const auto tr = std::chrono::steady_clock::now();
-    full_.merge(window_);
-    if (retention_.active()) {
-      full_.advance_epoch();
-      if (retention_.compact_period != 0 &&
-          full_.epoch() % retention_.compact_period == 0) {
-        dropped_objects_ +=
-            full_.compact(retention_.idle_epochs, retention_.decay)
-                .dropped_objects;
-      }
-      out.retained_objects = full_.objects_tracked();
-      out.retained_readers = full_.reader_entries();
-      out.dropped_objects = dropped_objects_;
+  // Merge the window into the whole-run accumulator (ingested entries have
+  // no raw records to re-fold later, so build_full's map is fed here); under
+  // retention, periodically evict stale objects too.
+  full_.add(csr);
+  if (retention_.active()) {
+    full_.advance_epoch();
+    if (retention_.compact_period != 0 &&
+        full_.epoch() % retention_.compact_period == 0) {
+      dropped_objects_ +=
+          full_.compact(retention_.idle_epochs, retention_.decay)
+              .dropped_objects;
     }
-    retention_seconds = seconds_since(tr);
+    out.retained_objects = full_.objects_tracked();
+    out.retained_readers = full_.reader_entries();
+    out.dropped_objects = dropped_objects_;
   }
-
-  out.build_seconds = window_fold_seconds_ + out.densify_seconds +
-                      attribution_seconds + retention_seconds;
-  window_.reset();
-  window_fold_seconds_ = 0.0;
+  out.build_seconds = drain_seconds_ + seconds_since(tb);
+  drain_seconds_ = 0.0;
   build_seconds_ += out.build_seconds;
   out.epoch = epochs_;
   ++epochs_;
@@ -277,18 +272,18 @@ void CorrelationDaemon::release_pending_arenas() {
 }
 
 SquareMatrix CorrelationDaemon::build_full() {
-  // The whole-run map *is* the whole-run accumulator (fed eagerly by every
-  // run_epoch's window merge) plus whatever sits in the unconsumed window.
-  // The accumulated state carries HT-weighted bytes only — ingested entries
-  // never had raw records to re-weigh.
+  // The whole-run map *is* the whole-run accumulator (fed by every
+  // run_epoch's merge) plus whatever sits in the unconsumed window, folded
+  // here through the same one CSR.  The accumulated state carries
+  // HT-weighted bytes only — ingested entries never had raw records to
+  // re-weigh.
   intervals_seen_ += pending_slices_;
   const auto tr = std::chrono::steady_clock::now();
+  full_.add(reorganize_pending());
   release_pending_arenas();
-  full_.merge(window_);
-  window_.reset();
   SquareMatrix tcm = full_.dense();
-  build_seconds_ += window_fold_seconds_ + seconds_since(tr);
-  window_fold_seconds_ = 0.0;
+  build_seconds_ += drain_seconds_ + seconds_since(tr);
+  drain_seconds_ = 0.0;
   latest_ = tcm;
   have_latest_ = true;
   return tcm;
@@ -298,8 +293,7 @@ void CorrelationDaemon::clear() {
   release_pending_arenas();
   hub_ = nullptr;
   ring_snapshot_ = IngestCounters{};
-  window_.reset();
-  window_fold_seconds_ = 0.0;
+  drain_seconds_ = 0.0;
   full_.reset();
   latest_ = SquareMatrix(threads_);
   have_latest_ = false;

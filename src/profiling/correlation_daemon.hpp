@@ -1,14 +1,14 @@
 // The central correlation-computing daemon (the master JVM of Fig. 2).
 //
-// Collects OAL interval records from worker nodes, folds each delivered
-// batch into a persistent incremental sparse accumulator (see
-// profiling/tcm.hpp) as it arrives, and at each epoch densifies the window's
-// map and hands its movement plus measured costs to the profiling governor,
+// Drains the worker nodes' OAL arenas as they are published and, at each
+// epoch tick, folds the epoch's entries exactly once: one CSR reorganize over
+// every pending arena slice (see profiling/tcm.hpp) yields the window's map
+// (sparse accrual + one densify), its per-class cell attribution, and the
+// single merge into the whole-run accumulator behind build_full().  The
+// window's movement plus measured costs then go to the profiling governor,
 // which owns all rate decisions: the paper's Section II.B.2 convergence loop
 // in legacy mode, or the budgeted bidirectional controller with phase
-// detection in closed-loop mode (see governor/governor.hpp).  Folding at
-// ingest() time amortizes the old from-scratch O(MN^2) epoch rebuild across
-// deliveries: the epoch boundary pays only the cheap densify.
+// detection in closed-loop mode (see governor/governor.hpp).
 #pragma once
 
 #include <array>
@@ -39,11 +39,12 @@ struct EpochResult {
   std::size_t epoch = 0;
   std::size_t intervals = 0;
   std::size_t entries = 0;
-  /// Real CPU time of this window's TCM construction: the incremental folds
-  /// paid at ingest() time plus the epoch-boundary densify.
+  /// Real CPU time of this window's TCM construction: the ingest() drains
+  /// plus the tick's reorganize, accrual, cell attribution, densify and
+  /// whole-run merge/retention.
   double build_seconds = 0.0;
-  /// The epoch-boundary share of build_seconds alone (what the master
-  /// actually stalls on at the epoch tick now that folding is incremental).
+  /// The densify share of build_seconds alone: expanding the window's sparse
+  /// pair weights into the dense N x N map.
   double densify_seconds = 0.0;
   /// Relative ABS distance vs the previous epoch's TCM (nullopt on the
   /// first epoch).
@@ -155,7 +156,10 @@ class CorrelationDaemon {
   CorrelationDaemon(SamplingPlan& plan, std::uint32_t threads);
 
   /// The only delivery path: drains every published arena out of `hub`
-  /// (round-robin across lanes) and folds each into the window accumulator.
+  /// (round-robin across lanes), drops slices the node filter rejects,
+  /// untags class ids beyond the registry, and queues the arena for the
+  /// next tick.  Nothing is folded here: run_epoch (or build_full) folds the
+  /// whole window at once.
   /// With `quiesced` (the default — the simulator's producers run on this
   /// same thread) it also collects parked and still-open arenas via
   /// take_stranded(), so an epoch boundary observes every appended entry.
@@ -164,14 +168,14 @@ class CorrelationDaemon {
   /// (their slices back the epoch's statistics until then).  Returns the
   /// number of arenas consumed.  Raw IntervalRecords never reach the daemon:
   /// the old submit() compatibility wrapper (and the record history it kept
-  /// alive) is gone, and build_full folds through the whole-run accumulator
+  /// alive) is gone, and build_full reads the whole-run accumulator
   /// (weighted only).
   std::size_t ingest(IngestHub& hub, bool quiesced = true);
 
   /// Installs a liveness predicate consulted at ingest() time: arena slices
-  /// whose logging node fails it are dropped before the fold, so a killed
-  /// node's un-shipped intervals die with it exactly as they did when the
-  /// pump erased its raw records.  An empty function (the default) keeps
+  /// whose logging node fails it are dropped before they are queued, so a
+  /// killed node's un-shipped intervals die with it exactly as they did when
+  /// the pump erased its raw records.  An empty function (the default) keeps
   /// everything and costs nothing.
   void set_node_filter(std::function<bool(NodeId)> alive) {
     node_filter_ = std::move(alive);
@@ -180,21 +184,20 @@ class CorrelationDaemon {
   /// Ingested arena slices waiting for the next epoch.
   [[nodiscard]] std::size_t pending() const noexcept { return pending_slices_; }
 
-  /// Densifies the window accumulator into this epoch's TCM, compares with
-  /// the previous epoch's map, refreshes the plan's per-class epoch stats,
-  /// and delegates the rate decision to the governor.  `sample` carries the
-  /// epoch's measured costs (the Djvm pump hook assembles it from
-  /// GOS/network deltas); fields left zero are filled in from the slices
-  /// themselves (entries, wire bytes) and the build timers.  Consumes the
-  /// pending arenas and window accumulator, merging the window into the
-  /// whole-run accumulator behind build_full().
+  /// Folds the pending arenas into this epoch's TCM (one CSR reorganize,
+  /// sparse accrual, densify), compares with the previous epoch's map,
+  /// refreshes the plan's per-class epoch stats, and delegates the rate
+  /// decision to the governor.  `sample` carries the epoch's measured costs
+  /// (the Djvm pump hook assembles it from GOS/network deltas); fields left
+  /// zero are filled in from the slices themselves (entries, wire bytes) and
+  /// the build timers.  Consumes the pending arenas, merging the same CSR
+  /// into the whole-run accumulator behind build_full().
   EpochResult run_epoch(OverheadSample sample = {});
 
   /// Hands the daemon the balancer's current thread-to-node placement; the
   /// next run_epoch splits the window's pair mass by owning class into cut
   /// vs local shares against it (EpochResult::cells), answered sparsely off
-  /// the window accumulator before it is consumed.  An empty vector turns
-  /// attribution off.
+  /// the epoch's CSR.  An empty vector turns attribution off.
   void set_influence_placement(std::vector<NodeId> node_of_thread) {
     influence_placement_ = std::move(node_of_thread);
   }
@@ -238,12 +241,12 @@ class CorrelationDaemon {
 
   /// Builds one HT-weighted TCM over *all* entries ever ingested (used by
   /// benches that want a whole-run map); also accumulates build-time
-  /// statistics.  The whole-run accumulator is fed incrementally by every
-  /// run_epoch, so this only merges the unconsumed window in and densifies —
-  /// repeated calls pay nothing for already-consumed epochs.  Raw records
-  /// never existed for ingested entries, so an unweighted variant is not
-  /// available (benches that need per-record views tap the Gos record stream
-  /// instead — see Gos::set_record_tap).
+  /// statistics.  The whole-run accumulator is fed by every run_epoch, so
+  /// this only folds the unconsumed window in (one CSR, one merge) and
+  /// densifies — repeated calls pay nothing for already-consumed epochs.
+  /// Raw records never existed for ingested entries, so an unweighted
+  /// variant is not available (benches that need per-record views tap the
+  /// Gos record stream instead — see Gos::set_record_tap).
   SquareMatrix build_full();
 
   /// Total real seconds spent in TCM construction (Table III's rightmost
@@ -261,12 +264,13 @@ class CorrelationDaemon {
   void clear();
 
  private:
-  /// Sanitizes one arena's entries (class ids beyond the registry untag) and
-  /// folds it into the window.
-  void fold_arena(OalArena& arena);
+  /// Sanitizes one arena's entries: class ids beyond the registry untag.
+  void sanitize_arena(OalArena& arena) const;
   /// Compacts one arena in place, dropping slices whose node fails the
   /// installed liveness predicate (no-op without one).
   void filter_arena(OalArena& arena) const;
+  /// One CSR over every pending arena slice (the epoch's single reorganize).
+  ReaderArena reorganize_pending();
   /// Recycles consumed pending arenas back to their lanes.
   void release_pending_arenas();
 
@@ -282,14 +286,14 @@ class CorrelationDaemon {
   IngestCounters ring_snapshot_;
   /// Liveness predicate applied to arena slices at ingest() (empty = keep all).
   std::function<bool(NodeId)> node_filter_;
-  /// Incremental sparse accumulator over the current window: every ingest()
-  /// folds its arenas in, so the epoch boundary only densifies.
-  TcmAccumulator window_;
-  /// Fold time already paid for the current window (ingest-side share of the
-  /// next epoch's build_seconds).
-  double window_fold_seconds_ = 0.0;
-  /// Whole-run accumulator behind build_full(), fed eagerly by every
-  /// run_epoch's window merge and, under retention, bounded by compact().
+  /// Reorganize scratch and slice list reused by every tick's CSR build.
+  ArenaScratch scratch_;
+  std::vector<ArenaSliceRef> slices_;
+  /// Drain time already paid for the current window (ingest-side share of
+  /// the next epoch's build_seconds).
+  double drain_seconds_ = 0.0;
+  /// Whole-run accumulator behind build_full(), fed by every run_epoch's
+  /// CSR merge and, under retention, bounded by compact().
   TcmAccumulator full_;
   RetentionPolicy retention_;
   std::size_t intervals_seen_ = 0;   ///< records consumed (backs total_intervals)

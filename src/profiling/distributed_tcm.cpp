@@ -234,29 +234,29 @@ NodeCsrPartial DistributedTcmReducer::tree_reduce_csr(
   return std::move(partials.front());
 }
 
-SquareMatrix DistributedTcmReducer::accrue_parallel(const ReaderArena& arena,
-                                                    std::uint32_t threads,
-                                                    unsigned threads_hw) {
-  if (threads_hw <= 1 || arena.object_count() < 1024) {
-    return TcmBuilder::accrue_sparse(arena, threads).densify();
-  }
+namespace {
+
+/// Shards objects [0, count) over `workers` threads: worker w accrues its
+/// object range into a private upper-triangular accumulator, and the
+/// partials sum cell-wise at the end — disjoint object ranges contribute
+/// independent pair updates, so no synchronization inside the loop.
+/// `readers_of(k)` yields object k's (thread, weighted bytes) readers.
+template <typename ReadersOf>
+SquareMatrix accrue_sharded(std::size_t count, std::uint32_t threads,
+                            unsigned threads_hw, ReadersOf readers_of) {
   const unsigned workers = std::min<unsigned>(
       threads_hw, std::max(1u, std::thread::hardware_concurrency()));
-  // The CSR offsets give natural object shards: worker w accrues objects
-  // [lo, hi) into a private upper-triangular accumulator, and the partials
-  // sum cell-wise at the end — disjoint object ranges contribute independent
-  // pair updates, so no synchronization inside the loop.
   std::vector<UpperTriangle> partials(workers, UpperTriangle(threads));
   std::vector<std::thread> pool;
   pool.reserve(workers);
-  const std::size_t chunk = (arena.object_count() + workers - 1) / workers;
+  const std::size_t chunk = (count + workers - 1) / workers;
   for (unsigned w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
       const std::size_t lo = w * chunk;
-      const std::size_t hi = std::min(arena.object_count(), lo + chunk);
+      const std::size_t hi = std::min(count, lo + chunk);
       UpperTriangle& pairs = partials[w];
       for (std::size_t k = lo; k < hi; ++k) {
-        const auto r = arena.readers_of(k);
+        const std::span<const std::pair<ThreadId, double>> r = readers_of(k);
         for (std::size_t i = 0; i < r.size(); ++i) {
           if (r[i].first >= threads) continue;
           for (std::size_t j = i + 1; j < r.size(); ++j) {
@@ -276,37 +276,31 @@ SquareMatrix DistributedTcmReducer::accrue_parallel(const ReaderArena& arena,
   return merged.densify();
 }
 
+}  // namespace
+
+SquareMatrix DistributedTcmReducer::accrue_parallel(const ReaderArena& arena,
+                                                    std::uint32_t threads,
+                                                    unsigned threads_hw) {
+  if (threads_hw <= 1 || arena.object_count() < 1024) {
+    return TcmBuilder::accrue_sparse(arena, threads).densify();
+  }
+  // The CSR offsets give natural object shards.
+  return accrue_sharded(arena.object_count(), threads, threads_hw,
+                        [&](std::size_t k) { return arena.readers_of(k); });
+}
+
 SquareMatrix DistributedTcmReducer::accrue_parallel(
     std::span<const ObjectAccessSummary> summaries, std::uint32_t threads,
     unsigned threads_hw) {
   if (threads_hw <= 1 || summaries.size() < 1024) {
     return TcmBuilder::accrue(summaries, threads);
   }
-  const unsigned workers = std::min<unsigned>(
-      threads_hw, std::max(1u, std::thread::hardware_concurrency()));
-  // Each worker folds its object shard into a sparse upper-triangular
-  // accumulator; shards partition the *objects*, so the partials cover
-  // disjoint object sets and merge by plain pair-array addition — no dense
-  // N x N matrix per worker, and one densify at the end.
-  std::vector<TcmAccumulator> partials(workers, TcmAccumulator(threads));
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  const std::size_t chunk = (summaries.size() + workers - 1) / workers;
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      const std::size_t lo = w * chunk;
-      const std::size_t hi = std::min(summaries.size(), lo + chunk);
-      for (std::size_t k = lo; k < hi; ++k) {
-        partials[w].add_readers(summaries[k].obj, summaries[k].readers);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  TcmAccumulator& merged = partials.front();
-  for (unsigned w = 1; w < workers; ++w) {
-    merged.merge_disjoint_objects(partials[w]);
-  }
-  return merged.dense();
+  // Each object's summary appears once, so summaries shard like CSR objects.
+  return accrue_sharded(summaries.size(), threads, threads_hw,
+                        [&](std::size_t k) {
+                          return std::span<const std::pair<ThreadId, double>>(
+                              summaries[k].readers);
+                        });
 }
 
 SquareMatrix DistributedTcmReducer::build(std::span<const IntervalRecord> records,

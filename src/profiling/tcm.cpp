@@ -58,49 +58,49 @@ namespace {
 /// The shared bucket-sort machinery behind every reorganize/merge variant:
 /// `for_each` must invoke its argument once per (thread, object, class,
 /// already-scaled bytes) tuple, in any order, any number of times per
-/// (thread, object).  Pass 1 flattens through the direct-indexed slot map,
-/// pass 2 prefix-sums + scatters, pass 3 stamp-dedups each segment in place
-/// with max-combining.
+/// (thread, object), and visit the same tuples in the same order when
+/// called again.  Pass 1 assigns each entry its object's slot through the
+/// direct-indexed slot map, pass 2 prefix-sums and scatters the source a
+/// second time straight into the CSR buffer, pass 3 stamp-dedups each
+/// segment in place with max-combining.
 template <typename ForEach>
-ReaderArena reorganize_impl(ArenaScratch& s, std::size_t total_hint,
-                            ForEach&& for_each) {
+ReaderArena reorganize_impl(ArenaScratch& s, ForEach&& for_each) {
   ReaderArena arena;
   s.counts.clear();
-  s.flat_slot.clear();
-  s.flat_reader.clear();
+  s.entry_slot.clear();
 
-  // Pass 1: flatten entries, assigning dense object slots in first-appearance
-  // order (direct-indexed bucket "hash" — object ids are dense heap ids) and
-  // counting each slot's bucket size.
-  s.flat_slot.reserve(total_hint);
-  s.flat_reader.reserve(total_hint);
-
+  // Pass 1: assign dense object slots in first-appearance order
+  // (direct-indexed bucket "hash" — object ids are dense heap ids), remember
+  // each entry's slot, and count each slot's bucket size.
   ThreadId max_thread = 0;
-  for_each([&](ThreadId thread, ObjectId obj, ClassId klass, double bytes) {
+  for_each([&](ThreadId thread, ObjectId obj, ClassId klass, double) {
     bool fresh = false;
-    const std::int32_t slot = s.slots.get_or_assign(obj, fresh);
+    const auto slot =
+        static_cast<std::size_t>(s.slots.get_or_assign(obj, fresh));
     if (fresh) {
       arena.objects.push_back(obj);
       arena.klass.push_back(klass);
       s.counts.push_back(0);
+    } else if (arena.klass[slot] == kInvalidClass) {
+      arena.klass[slot] = klass;  // first valid tag
     }
-    ++s.counts[static_cast<std::size_t>(slot)];
+    ++s.counts[slot];
+    s.entry_slot.push_back(static_cast<std::uint32_t>(slot));
     max_thread = std::max(max_thread, thread);
-    s.flat_slot.push_back(static_cast<std::uint32_t>(slot));
-    s.flat_reader.emplace_back(thread, bytes);
   });
 
-  // Pass 2: prefix sums + scatter into the contiguous buffer (bucket sort).
+  // Pass 2: prefix sums, then scatter every entry into its bucket.
   const std::size_t object_count = arena.objects.size();
   arena.offsets.assign(object_count + 1, 0);
   for (std::size_t k = 0; k < object_count; ++k) {
     arena.offsets[k + 1] = arena.offsets[k] + s.counts[k];
   }
   s.cursor.assign(arena.offsets.begin(), arena.offsets.end() - 1);
-  arena.readers.resize(s.flat_reader.size());
-  for (std::size_t i = 0; i < s.flat_reader.size(); ++i) {
-    arena.readers[s.cursor[s.flat_slot[i]]++] = s.flat_reader[i];
-  }
+  arena.readers.resize(s.entry_slot.size());
+  std::size_t i = 0;
+  for_each([&](ThreadId thread, ObjectId, ClassId, double bytes) {
+    arena.readers[s.cursor[s.entry_slot[i++]]++] = {thread, bytes};
+  });
 
   // Pass 3: dedup each segment by thread with max-combining.  Stamps are
   // direct-indexed by thread id (thread ids are dense too) and epoch-tagged,
@@ -147,9 +147,7 @@ ReaderArena TcmBuilder::reorganize_arena(std::span<const IntervalRecord> records
 
 ReaderArena TcmBuilder::reorganize_arena(std::span<const IntervalRecord> records,
                                          bool weighted, ArenaScratch& s) {
-  std::size_t total_entries = 0;
-  for (const IntervalRecord& rec : records) total_entries += rec.entries.size();
-  return reorganize_impl(s, total_entries, [&](auto&& emit) {
+  return reorganize_impl(s, [&](auto&& emit) {
     for (const IntervalRecord& rec : records) {
       for (const OalEntry& e : rec.entries) {
         const double bytes = weighted
@@ -164,9 +162,7 @@ ReaderArena TcmBuilder::reorganize_arena(std::span<const IntervalRecord> records
 ReaderArena TcmBuilder::reorganize_arena(
     std::span<const IntervalRecord* const> records, bool weighted,
     ArenaScratch& s) {
-  std::size_t total_entries = 0;
-  for (const IntervalRecord* rec : records) total_entries += rec->entries.size();
-  return reorganize_impl(s, total_entries, [&](auto&& emit) {
+  return reorganize_impl(s, [&](auto&& emit) {
     for (const IntervalRecord* rec : records) {
       for (const OalEntry& e : rec->entries) {
         const double bytes = weighted
@@ -180,7 +176,7 @@ ReaderArena TcmBuilder::reorganize_arena(
 
 ReaderArena TcmBuilder::reorganize_arena(const OalArena& log, bool weighted,
                                          ArenaScratch& s) {
-  return reorganize_impl(s, log.entries.size(), [&](auto&& emit) {
+  return reorganize_impl(s, [&](auto&& emit) {
     for (const ArenaInterval& iv : log.intervals) {
       for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
         const OalEntry& e = log.entries[i];
@@ -195,12 +191,7 @@ ReaderArena TcmBuilder::reorganize_arena(const OalArena& log, bool weighted,
 
 ReaderArena TcmBuilder::reorganize_arena(std::span<const ArenaSliceRef> slices,
                                          bool weighted, ArenaScratch& s) {
-  std::size_t total_entries = 0;
-  for (const ArenaSliceRef& ref : slices) {
-    const ArenaInterval& iv = ref.log->intervals[ref.slice];
-    total_entries += iv.end - iv.begin;
-  }
-  return reorganize_impl(s, total_entries, [&](auto&& emit) {
+  return reorganize_impl(s, [&](auto&& emit) {
     for (const ArenaSliceRef& ref : slices) {
       const ArenaInterval& iv = ref.log->intervals[ref.slice];
       for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
@@ -223,11 +214,10 @@ ReaderArena TcmBuilder::merge_arenas(const ReaderArena& a, const ReaderArena& b,
       }
     }
   };
-  return reorganize_impl(s, a.readers.size() + b.readers.size(),
-                         [&](auto&& emit) {
-                           feed(a, emit);
-                           feed(b, emit);
-                         });
+  return reorganize_impl(s, [&](auto&& emit) {
+    feed(a, emit);
+    feed(b, emit);
+  });
 }
 
 std::vector<ObjectAccessSummary> TcmBuilder::reorganize(
@@ -278,6 +268,45 @@ UpperTriangle TcmBuilder::accrue_sparse(const ReaderArena& arena,
   return pairs;
 }
 
+TcmClassAttribution TcmBuilder::attribute_cells(
+    const ReaderArena& arena, std::uint32_t threads,
+    std::span<const NodeId> node_of_thread) {
+  TcmClassAttribution out;
+  const auto node_of = [&](ThreadId t) {
+    return t < node_of_thread.size() ? node_of_thread[t] : kInvalidNode;
+  };
+  for (std::size_t k = 0; k < arena.object_count(); ++k) {
+    if (arena.klass[k] == kInvalidClass) continue;  // untagged: no attribution
+    const auto c = static_cast<std::size_t>(arena.klass[k]);
+    const auto r = arena.readers_of(k);
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      if (r[i].first >= threads) continue;
+      for (std::size_t j = i + 1; j < r.size(); ++j) {
+        if (r[j].first >= threads) continue;
+        const double w = std::min(r[i].second, r[j].second);
+        if (w <= 0.0) continue;
+        if (out.cut_bytes.size() <= c) {
+          out.cut_bytes.resize(c + 1, 0.0);
+          out.local_bytes.resize(c + 1, 0.0);
+          out.thread_mass.resize(c + 1);
+        }
+        if (out.thread_mass[c].empty()) out.thread_mass[c].resize(threads, 0.0);
+        const NodeId ni = node_of(r[i].first);
+        const NodeId nj = node_of(r[j].first);
+        // Unplaced threads make no cross-node claim: count them local.
+        if (ni != nj && ni != kInvalidNode && nj != kInvalidNode) {
+          out.cut_bytes[c] += w;
+        } else {
+          out.local_bytes[c] += w;
+        }
+        out.thread_mass[c][r[i].first] += w;
+        out.thread_mass[c][r[j].first] += w;
+      }
+    }
+  }
+  return out;
+}
+
 SquareMatrix TcmBuilder::build(std::span<const IntervalRecord> records,
                                std::uint32_t threads, bool weighted) {
   return accrue_sparse(reorganize_arena(records, weighted), threads).densify();
@@ -317,14 +346,17 @@ SquareMatrix TcmBuilder::build_reference(std::span<const IntervalRecord> records
 // --- incremental accumulator --------------------------------------------------
 
 TcmAccumulator::TcmAccumulator(std::uint32_t threads, bool weighted)
-    : threads_(threads), weighted_(weighted), pairs_(threads) {}
+    : threads_(threads),
+      weighted_(weighted),
+      where_(threads),
+      where_stamp_(threads, 0),
+      pairs_(threads) {}
 
 std::int32_t TcmAccumulator::assign_slot(ObjectId obj) {
   bool fresh = false;
   const std::int32_t slot = slots_.get_or_assign(obj, fresh);
   if (fresh) {
     touched_.push_back(obj);
-    klass_.push_back(kInvalidClass);
     heads_.push_back(kNone);
     last_touch_.push_back(epoch_);
     decay_epoch_.push_back(kNeverDecayed);
@@ -345,40 +377,43 @@ std::int32_t TcmAccumulator::alloc_reader(ThreadId thread, double bytes,
   return static_cast<std::int32_t>(pool_.size()) - 1;
 }
 
-void TcmAccumulator::add_one(ObjectId obj, ThreadId thread, double bytes) {
-  if (thread >= threads_) return;  // beyond the map's dimension (as accrue)
-  const std::int32_t slot = assign_slot(obj);
-  last_touch_[static_cast<std::size_t>(slot)] = epoch_;
-  std::int32_t& head = heads_[static_cast<std::size_t>(slot)];
+void TcmAccumulator::raise_reader(std::size_t slot, std::int32_t found,
+                                  double bytes) {
+  const double old = pool_[found].bytes;
+  if (bytes <= old) return;  // max-combining: nothing new to contribute
+  // Raising this reader's byte value moves every pair it participates in by
+  // min(new, other) - min(old, other); the invariant pair == min(cur_i,
+  // cur_j) per object is preserved.
+  const ThreadId thread = pool_[found].thread;
+  for (std::int32_t r = heads_[slot]; r != kNone; r = pool_[r].next) {
+    if (r == found) continue;
+    const double other = pool_[r].bytes;
+    const double delta = std::min(bytes, other) - std::min(old, other);
+    if (delta > 0.0) pairs_.add(thread, pool_[r].thread, delta);
+  }
+  pool_[found].bytes = bytes;
+}
 
-  std::int32_t found = kNone;
-  for (std::int32_t r = head; r != kNone; r = pool_[r].next) {
-    if (pool_[r].thread == thread) {
-      found = r;
-      break;
-    }
-  }
-  if (found != kNone) {
-    const double old = pool_[found].bytes;
-    if (bytes <= old) return;  // max-combining: nothing new to contribute
-    // Raising this reader's byte value moves every pair it participates in
-    // by min(new, other) - min(old, other); the invariant pair == min(cur_i,
-    // cur_j) per object is preserved.
-    for (std::int32_t r = head; r != kNone; r = pool_[r].next) {
-      if (r == found) continue;
-      const double other = pool_[r].bytes;
-      const double delta = std::min(bytes, other) - std::min(old, other);
-      if (delta > 0.0) pairs_.add(thread, pool_[r].thread, delta);
-    }
-    pool_[found].bytes = bytes;
-    return;
-  }
-  // First sighting of this (object, thread): pair up with every reader
-  // already on the object's list.
-  for (std::int32_t r = head; r != kNone; r = pool_[r].next) {
+std::int32_t TcmAccumulator::insert_reader(std::size_t slot, ThreadId thread,
+                                           double bytes) {
+  for (std::int32_t r = heads_[slot]; r != kNone; r = pool_[r].next) {
     pairs_.add(thread, pool_[r].thread, std::min(bytes, pool_[r].bytes));
   }
-  head = alloc_reader(thread, bytes, head);
+  heads_[slot] = alloc_reader(thread, bytes, heads_[slot]);
+  return heads_[slot];
+}
+
+void TcmAccumulator::add_one(ObjectId obj, ThreadId thread, double bytes) {
+  if (thread >= threads_) return;  // beyond the map's dimension (as accrue)
+  const auto slot = static_cast<std::size_t>(assign_slot(obj));
+  last_touch_[slot] = epoch_;
+  for (std::int32_t r = heads_[slot]; r != kNone; r = pool_[r].next) {
+    if (pool_[r].thread == thread) {
+      raise_reader(slot, r, bytes);
+      return;
+    }
+  }
+  insert_reader(slot, thread, bytes);
 }
 
 void TcmAccumulator::add(std::span<const IntervalRecord> records) {
@@ -386,122 +421,53 @@ void TcmAccumulator::add(std::span<const IntervalRecord> records) {
   // stamp check instead of paying a reader-list walk each.  The scratch
   // persists across folds, so steady-state batches allocate only the
   // arena's own payload.
-  const ReaderArena arena =
-      TcmBuilder::reorganize_arena(records, weighted_, scratch_);
-  for (std::size_t k = 0; k < arena.object_count(); ++k) {
-    add_readers(arena.objects[k], arena.readers_of(k), arena.klass[k]);
-  }
+  add(TcmBuilder::reorganize_arena(records, weighted_, scratch_));
 }
 
 void TcmAccumulator::add(const OalArena& log) {
-  const ReaderArena arena =
-      TcmBuilder::reorganize_arena(log, weighted_, scratch_);
-  for (std::size_t k = 0; k < arena.object_count(); ++k) {
-    add_readers(arena.objects[k], arena.readers_of(k), arena.klass[k]);
-  }
+  add(TcmBuilder::reorganize_arena(log, weighted_, scratch_));
 }
 
 void TcmAccumulator::add(const ReaderArena& arena) {
   for (std::size_t k = 0; k < arena.object_count(); ++k) {
-    add_readers(arena.objects[k], arena.readers_of(k), arena.klass[k]);
+    add_readers(arena.objects[k], arena.readers_of(k));
   }
 }
 
 void TcmAccumulator::add_readers(
-    ObjectId obj, std::span<const std::pair<ThreadId, double>> readers,
-    ClassId klass) {
-  for (const auto& [thread, bytes] : readers) add_one(obj, thread, bytes);
-  if (klass == kInvalidClass) return;
-  // Tag only objects that actually hold a slot (every reader could have been
-  // beyond the map's dimension, in which case add_one assigned nothing).
-  if (slots_.contains(obj)) {
-    bool fresh = false;
-    klass_[static_cast<std::size_t>(slots_.get_or_assign(obj, fresh))] = klass;
+    ObjectId obj, std::span<const std::pair<ThreadId, double>> readers) {
+  const auto in_range = [&](const auto& r) { return r.first < threads_; };
+  // A lone reader walks the list only as far as its own node; stamping the
+  // whole list would cost more than the walk it saves.
+  if (readers.size() < 2 || std::count_if(readers.begin(), readers.end(),
+                                          in_range) < 2) {
+    for (const auto& [thread, bytes] : readers) add_one(obj, thread, bytes);
+    return;
   }
-}
-
-TcmClassAttribution TcmAccumulator::attribute_cells(
-    std::span<const NodeId> node_of_thread) const {
-  TcmClassAttribution out;
-  const auto node_of = [&](ThreadId t) {
-    return t < node_of_thread.size() ? node_of_thread[t] : kInvalidNode;
-  };
-  const auto grow = [&](std::size_t c) {
-    if (out.cut_bytes.size() <= c) {
-      out.cut_bytes.resize(c + 1, 0.0);
-      out.local_bytes.resize(c + 1, 0.0);
-      out.thread_mass.resize(c + 1);
-    }
-    if (out.thread_mass[c].empty()) out.thread_mass[c].resize(threads_, 0.0);
-  };
-  for (std::size_t slot = 0; slot < touched_.size(); ++slot) {
-    const ClassId klass = klass_[slot];
-    if (klass == kInvalidClass) continue;  // untagged partial: no attribution
-    const auto c = static_cast<std::size_t>(klass);
-    for (std::int32_t i = heads_[slot]; i != kNone; i = pool_[i].next) {
-      for (std::int32_t j = pool_[i].next; j != kNone; j = pool_[j].next) {
-        const double w = std::min(pool_[i].bytes, pool_[j].bytes);
-        if (w <= 0.0) continue;
-        grow(c);
-        const NodeId ni = node_of(pool_[i].thread);
-        const NodeId nj = node_of(pool_[j].thread);
-        // Unplaced threads make no cross-node claim: count them local.
-        if (ni != nj && ni != kInvalidNode && nj != kInvalidNode) {
-          out.cut_bytes[c] += w;
-        } else {
-          out.local_bytes[c] += w;
-        }
-        out.thread_mass[c][pool_[i].thread] += w;
-        out.thread_mass[c][pool_[j].thread] += w;
-      }
+  const auto slot = static_cast<std::size_t>(assign_slot(obj));
+  last_touch_[slot] = epoch_;
+  // Several readers: index the object's whole-run list by thread once, so
+  // each incoming reader finds its node in O(1).  The pair updates are
+  // add_one's own (raise_reader / insert_reader), in add_one's order.
+  const std::uint64_t stamp = ++stamp_;
+  for (std::int32_t r = heads_[slot]; r != kNone; r = pool_[r].next) {
+    where_[pool_[r].thread] = r;
+    where_stamp_[pool_[r].thread] = stamp;
+  }
+  for (const auto& [thread, bytes] : readers) {
+    if (thread >= threads_) continue;
+    if (where_stamp_[thread] == stamp) {
+      raise_reader(slot, where_[thread], bytes);
+    } else {
+      where_[thread] = insert_reader(slot, thread, bytes);
+      where_stamp_[thread] = stamp;
     }
   }
-  return out;
-}
-
-void TcmAccumulator::merge(const TcmAccumulator& other) {
-  assert(threads_ == other.threads_);
-  // Replay the other partial's reader lists: cross-partial pairs appear as
-  // the readers land, and pairs internal to `other` are reconstructed, so
-  // the merged state is exactly what one accumulator over both streams
-  // would hold.
-  for (std::size_t slot = 0; slot < other.touched_.size(); ++slot) {
-    const ObjectId obj = other.touched_[slot];
-    for (std::int32_t r = other.heads_[slot]; r != kNone; r = other.pool_[r].next) {
-      add_one(obj, other.pool_[r].thread, other.pool_[r].bytes);
-    }
-    if (other.klass_[slot] != kInvalidClass && slots_.contains(obj)) {
-      bool fresh = false;
-      klass_[static_cast<std::size_t>(slots_.get_or_assign(obj, fresh))] =
-          other.klass_[slot];
-    }
-  }
-}
-
-void TcmAccumulator::merge_disjoint_objects(const TcmAccumulator& other) {
-  assert(threads_ == other.threads_);
-  for (std::size_t slot = 0; slot < other.touched_.size(); ++slot) {
-    const ObjectId obj = other.touched_[slot];
-    assert(!slots_.contains(obj) &&
-           "merge_disjoint_objects requires disjoint object sets");
-    const std::int32_t dst = assign_slot(obj);
-    klass_[static_cast<std::size_t>(dst)] = other.klass_[slot];
-    last_touch_[static_cast<std::size_t>(dst)] = epoch_;
-    // Move the reader list over node by node (pool indices re-based).
-    for (std::int32_t r = other.heads_[slot]; r != kNone; r = other.pool_[r].next) {
-      heads_[static_cast<std::size_t>(dst)] =
-          alloc_reader(other.pool_[r].thread, other.pool_[r].bytes,
-                       heads_[static_cast<std::size_t>(dst)]);
-    }
-  }
-  // Disjoint objects contribute disjoint pair updates: partial sums add.
-  pairs_ += other.pairs_;
 }
 
 void TcmAccumulator::reset() {
   slots_.release(touched_);
   touched_.clear();
-  klass_.clear();
   heads_.clear();
   last_touch_.clear();
   decay_epoch_.clear();
@@ -582,14 +548,12 @@ TcmCompactStats TcmAccumulator::compact(std::uint32_t idle_epochs,
     for (std::size_t slot = 0; slot < touched_.size(); ++slot) {
       if (heads_[slot] == kNone) continue;
       touched_[w] = touched_[slot];
-      klass_[w] = klass_[slot];
       heads_[w] = heads_[slot];
       last_touch_[w] = last_touch_[slot];
       decay_epoch_[w] = decay_epoch_[slot];
       ++w;
     }
     touched_.resize(w);
-    klass_.resize(w);
     heads_.resize(w);
     last_touch_.resize(w);
     decay_epoch_.resize(w);
@@ -605,7 +569,6 @@ TcmCompactStats TcmAccumulator::compact(std::uint32_t idle_epochs,
 
 std::size_t TcmAccumulator::memory_bytes() const noexcept {
   return touched_.capacity() * sizeof(ObjectId) +
-         klass_.capacity() * sizeof(ClassId) +
          heads_.capacity() * sizeof(std::int32_t) +
          last_touch_.capacity() * sizeof(std::uint32_t) +
          decay_epoch_.capacity() * sizeof(std::uint32_t) +

@@ -15,19 +15,21 @@
 //    dense accrual into a fresh SquareMatrix.  Kept verbatim as the oracle
 //    for equivalence tests and as the "dense from scratch" side of
 //    `bench_tcm_scale`.
-//  * the incremental sparse pipeline — `reorganize_arena` bucket-sorts a
-//    batch's entries into one contiguous CSR arena (no per-object vectors,
-//    no hashing while object ids stay compact), and `TcmAccumulator` folds
-//    such batches into a persistent sparse state: per-object reader lists
-//    threaded through one pool, pair weights in a flat upper-triangular
-//    accumulator.  Work per fold is O(sum over objects of readers^2) for
-//    *new* information only — re-logged entries that do not raise a reader's
-//    byte value cost a short list walk and no pair updates — and the dense
-//    N x N matrix is materialized only on demand (`dense()`).
+//  * the CSR pipeline — `reorganize_arena` bucket-sorts a batch's entries
+//    into one contiguous CSR arena (no per-object vectors, no hashing while
+//    object ids stay compact).  One epoch's arena answers everything the
+//    epoch tick asks: `accrue_sparse` gives the window's pair weights in a
+//    flat upper-triangular accumulator (densified once), `attribute_cells`
+//    splits the same pairs by owning class, and `TcmAccumulator::add` folds
+//    the arena into persistent whole-run state (per-object reader lists
+//    threaded through one pool).  That fold costs O(sum over objects of
+//    readers^2) for *new* information only — a re-logged entry that does not
+//    raise a reader's byte value costs no pair updates, and on an object
+//    receiving several readers just one thread-indexed table lookup.
 //
-// `TcmBuilder::build` routes through the sparse pipeline; tests assert the
-// two pipelines agree within 1e-9 (bit-exact in practice, since byte weights
-// are integer-valued doubles).
+// `TcmBuilder::build` routes through the CSR pipeline; tests assert the two
+// pipelines agree within 1e-9 (bit-exact in practice, since byte weights are
+// integer-valued doubles).
 #pragma once
 
 #include <cstdint>
@@ -66,7 +68,7 @@ struct ObjectAccessSummary {
 /// map otherwise) with stamp-based per-thread dedup inside each segment.
 struct ReaderArena {
   std::vector<ObjectId> objects;                     ///< unique objects, first-appearance order
-  std::vector<ClassId> klass;                        ///< class of each object (parallel to objects)
+  std::vector<ClassId> klass;                        ///< first valid class seen (parallel to objects)
   std::vector<std::uint32_t> offsets;                ///< size objects.size() + 1
   std::vector<std::pair<ThreadId, double>> readers;  ///< CSR payload, max-combined per thread
 
@@ -101,19 +103,60 @@ class ObjectSlotMap {
 };
 
 /// Reusable scratch for `reorganize_arena`: the slot map, bucket counters,
-/// flattened-entry buffers, and per-thread dedup stamps are released — not
-/// freed — between calls, so steady-state folding (one arena per submit()
-/// batch) stops re-allocating and re-zeroing the O(max object id) direct
-/// table on every delivery.
+/// entry slots, scatter cursors, and per-thread dedup stamps are released —
+/// not freed — between calls, so steady-state folding (one CSR per epoch
+/// tick) stops re-allocating and re-zeroing the O(max object id) direct
+/// table on every call.
 struct ArenaScratch {
   ObjectSlotMap slots;
   std::vector<std::uint32_t> counts;    ///< per-slot bucket sizes
-  std::vector<std::uint32_t> flat_slot; ///< flattened entries: object slot...
-  std::vector<std::pair<ThreadId, double>> flat_reader;  ///< ...and payload
+  std::vector<std::uint32_t> entry_slot;  ///< per-entry object slot (pass 1)
   std::vector<std::uint32_t> cursor;    ///< scatter cursors
   std::vector<std::uint64_t> stamp;     ///< per-thread dedup stamps
   std::vector<std::uint32_t> pos;       ///< per-thread write-back positions
   std::uint64_t epoch = 0;  ///< stamp epoch, persists across calls (never reset)
+};
+
+/// Per-class decomposition of a CSR arena's pair mass against a thread
+/// placement — the sparse answer to "which classes produced these cells".
+/// Every pair cell came from one object, and every object belongs to one
+/// class, so the walk over the per-object reader segments splits each cell's
+/// mass by the owning class without densifying a per-class matrix
+/// (classes x N^2 would defeat the sparse pipeline).  All vectors are
+/// ClassId-indexed and may be shorter than the registry when trailing classes
+/// contributed nothing.
+struct TcmClassAttribution {
+  /// Pair mass crossing node boundaries under the given placement — the
+  /// class's contribution to the co-location partition cut.
+  std::vector<double> cut_bytes;
+  /// Pair mass kept node-local (the class's already-satisfied share).
+  std::vector<double> local_bytes;
+  /// Per-(class, thread) pair mass, for attributing thread-level balancer
+  /// decisions (migration suggestions) back to the classes that drove them.
+  std::vector<std::vector<double>> thread_mass;
+  /// HT-weighted bytes of entries whose object is homed away from the node
+  /// that logged them (thread-home-affinity mass).  Filled by callers that
+  /// know homes (the daemon); the CSR itself never sees the heap.
+  std::vector<double> home_mass;
+
+  [[nodiscard]] bool empty() const noexcept {
+    // home_mass counts: an epoch of purely single-reader remote-home traffic
+    // (no co-access pairs at all) still carries influence evidence.
+    return cut_bytes.empty() && local_bytes.empty() && home_mass.empty();
+  }
+  /// Total pair mass seen (cut + local over every class).
+  [[nodiscard]] double total_pair_bytes() const noexcept {
+    double t = 0.0;
+    for (double v : cut_bytes) t += v;
+    for (double v : local_bytes) t += v;
+    return t;
+  }
+  /// Pair mass of one class (0 for classes past the vectors).
+  [[nodiscard]] double class_pair_bytes(ClassId id) const noexcept {
+    const auto i = static_cast<std::size_t>(id);
+    return (i < cut_bytes.size() ? cut_bytes[i] : 0.0) +
+           (i < local_bytes.size() ? local_bytes[i] : 0.0);
+  }
 };
 
 /// Builds TCMs out of interval records.
@@ -172,6 +215,19 @@ class TcmBuilder {
   [[nodiscard]] static UpperTriangle accrue_sparse(const ReaderArena& arena,
                                                    std::uint32_t threads);
 
+  /// Splits the arena's pair mass by owning class against `node_of_thread`
+  /// (the balancer's current co-location partition): for every object, each
+  /// reader-pair cell min(bytes_i, bytes_j) lands in the object's class as
+  /// cut mass (readers on different nodes) or local mass.  Objects without a
+  /// class (kInvalidClass) and readers at or beyond `threads` are skipped,
+  /// exactly as accrue_sparse skips them; threads beyond `node_of_thread`
+  /// count as local (no placement claim).  Class ids size the returned
+  /// vectors, so callers must bound them against their class registry.
+  /// home_mass is left empty for the caller to fill.
+  [[nodiscard]] static TcmClassAttribution attribute_cells(
+      const ReaderArena& arena, std::uint32_t threads,
+      std::span<const NodeId> node_of_thread);
+
   /// Convenience: reorganize + accrue via the sparse pipeline.
   [[nodiscard]] static SquareMatrix build(std::span<const IntervalRecord> records,
                                           std::uint32_t threads,
@@ -184,48 +240,6 @@ class TcmBuilder {
       bool weighted = true);
 };
 
-/// Per-class decomposition of an accumulator's pair mass against a thread
-/// placement — the sparse answer to "which classes produced these cells".
-/// Every pair cell the accumulator holds came from one object, and every
-/// object belongs to one class, so the walk over the per-object reader lists
-/// splits each cell's mass by the owning class without densifying a per-class
-/// matrix (classes x N^2 would defeat the sparse pipeline).  All vectors are
-/// ClassId-indexed and may be shorter than the registry when trailing classes
-/// contributed nothing.
-struct TcmClassAttribution {
-  /// Pair mass crossing node boundaries under the given placement — the
-  /// class's contribution to the co-location partition cut.
-  std::vector<double> cut_bytes;
-  /// Pair mass kept node-local (the class's already-satisfied share).
-  std::vector<double> local_bytes;
-  /// Per-(class, thread) pair mass, for attributing thread-level balancer
-  /// decisions (migration suggestions) back to the classes that drove them.
-  std::vector<std::vector<double>> thread_mass;
-  /// HT-weighted bytes of entries whose object is homed away from the node
-  /// that logged them (thread-home-affinity mass).  Filled by callers that
-  /// know homes (the daemon); the accumulator itself never sees the heap.
-  std::vector<double> home_mass;
-
-  [[nodiscard]] bool empty() const noexcept {
-    // home_mass counts: an epoch of purely single-reader remote-home traffic
-    // (no co-access pairs at all) still carries influence evidence.
-    return cut_bytes.empty() && local_bytes.empty() && home_mass.empty();
-  }
-  /// Total pair mass seen (cut + local over every class).
-  [[nodiscard]] double total_pair_bytes() const noexcept {
-    double t = 0.0;
-    for (double v : cut_bytes) t += v;
-    for (double v : local_bytes) t += v;
-    return t;
-  }
-  /// Pair mass of one class (0 for classes past the vectors).
-  [[nodiscard]] double class_pair_bytes(ClassId id) const noexcept {
-    const auto i = static_cast<std::size_t>(id);
-    return (i < cut_bytes.size() ? cut_bytes[i] : 0.0) +
-           (i < local_bytes.size() ? local_bytes[i] : 0.0);
-  }
-};
-
 /// Result of one `TcmAccumulator::compact` retention pass.
 struct TcmCompactStats {
   std::size_t dropped_objects = 0;  ///< stale objects fully evicted
@@ -233,8 +247,8 @@ struct TcmCompactStats {
   std::size_t freed_readers = 0;    ///< pool nodes returned to the free list
 };
 
-/// Persistent incremental sparse TCM accumulator: fold record batches in as
-/// deltas (`add`), merge partials (`merge`), and densify on demand.  The
+/// Persistent incremental sparse TCM accumulator: fold batches in as deltas
+/// (`add`) and densify on demand.  The
 /// invariant maintained per object o and thread pair {i, j} is
 /// pair(i, j) == min(bytes_i(o), bytes_j(o)) summed over objects, so folding
 /// batches one at a time, in any split, yields exactly the map a from-scratch
@@ -265,40 +279,16 @@ class TcmAccumulator {
   /// per-interval vectors in between.
   void add(const OalArena& log);
 
-  /// Folds an already-reorganized CSR arena in (the distributed reducer's
-  /// accrual path; byte values are already weighted).
+  /// Folds an already-reorganized CSR arena in (the daemon's once-per-epoch
+  /// whole-run merge; byte values are already weighted).
   void add(const ReaderArena& arena);
 
   /// Folds one object's (thread, already-weighted bytes) reader list in.
-  /// `klass` tags the object for per-class cell attribution; kInvalidClass
-  /// (partials built outside the record path) leaves it untagged, and those
-  /// objects are skipped by attribute_cells.  Callers must bound `klass`
-  /// against their class registry: attribute_cells sizes its class-indexed
-  /// vectors by the largest tag seen (the daemon sanitizes record entries
-  /// at submit() for exactly this reason).
+  /// Readers at or beyond threads() are ignored.  The pair updates run in
+  /// the order one add_one per reader would run them, so the pair array is
+  /// bit-identical however an object's readers are batched.
   void add_readers(ObjectId obj,
-                   std::span<const std::pair<ThreadId, double>> readers,
-                   ClassId klass = kInvalidClass);
-
-  /// Splits the accumulated pair mass by owning class against
-  /// `node_of_thread` (the balancer's current co-location partition): for
-  /// every object, each reader-pair cell min(bytes_i, bytes_j) lands in the
-  /// object's class as cut mass (readers on different nodes) or local mass.
-  /// Threads beyond `node_of_thread` count as local (no placement claim).
-  /// Sparse: walks the reader lists, never densifies.  home_mass is left
-  /// empty for the caller to fill.
-  [[nodiscard]] TcmClassAttribution attribute_cells(
-      std::span<const NodeId> node_of_thread) const;
-
-  /// Merges another accumulator over the same thread count (the reduction
-  /// monoid: per-object reader lists union with max-combining; pair weights
-  /// are replayed so cross-partial pairs appear).
-  void merge(const TcmAccumulator& other);
-
-  /// Merge fast path for partials over *disjoint object sets* (parallel
-  /// accrual shards): reader lists move over and pair arrays simply add.
-  /// Asserts disjointness in debug builds.
-  void merge_disjoint_objects(const TcmAccumulator& other);
+                   std::span<const std::pair<ThreadId, double>> readers);
 
   /// Drops all accumulated state (keeps allocations for reuse).
   void reset();
@@ -358,6 +348,12 @@ class TcmAccumulator {
   std::int32_t assign_slot(ObjectId obj);
 
   void add_one(ObjectId obj, ThreadId thread, double bytes);
+  /// Raises pool node `found` of the object at `slot` to `bytes` when
+  /// higher, moving every pair it is in to match.
+  void raise_reader(std::size_t slot, std::int32_t found, double bytes);
+  /// First sighting of `thread` on the object at `slot`: pairs it with every
+  /// listed reader, then pushes it at the list head (returned).
+  std::int32_t insert_reader(std::size_t slot, ThreadId thread, double bytes);
 
   /// Pool node for a new list head, reusing the free list when possible.
   std::int32_t alloc_reader(ThreadId thread, double bytes, std::int32_t next);
@@ -367,11 +363,16 @@ class TcmAccumulator {
   ObjectSlotMap slots_;
   ArenaScratch scratch_;                  ///< reused by add()'s reorganize
   std::vector<ObjectId> touched_;         ///< slot -> object id
-  std::vector<ClassId> klass_;            ///< slot -> owning class (cell attribution)
   std::vector<std::int32_t> heads_;       ///< slot -> first Reader index (kNone = empty)
   std::vector<std::uint32_t> last_touch_; ///< slot -> retention epoch last folded
   std::vector<std::uint32_t> decay_epoch_;///< slot -> epoch last decayed
   std::vector<Reader> pool_;
+  /// Thread -> pool index of that thread's node on the object add_readers is
+  /// folding, valid where where_stamp_ holds the current stamp (no clearing
+  /// between objects).
+  std::vector<std::int32_t> where_;
+  std::vector<std::uint64_t> where_stamp_;
+  std::uint64_t stamp_ = 0;
   UpperTriangle pairs_;
   std::int32_t free_head_ = kNone;        ///< freed pool nodes, chained via next
   std::size_t live_readers_ = 0;

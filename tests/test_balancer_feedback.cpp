@@ -21,22 +21,23 @@ IntervalRecord record(ThreadId thread, NodeId node,
   return r;
 }
 
-void fold(TcmAccumulator& acc, std::vector<IntervalRecord> records) {
-  acc.add(records);
+/// One epoch's CSR over `records` (HT-weighted, as the daemon folds them).
+ReaderArena csr(const std::vector<IntervalRecord>& records) {
+  return TcmBuilder::reorganize_arena(records, /*weighted=*/true);
 }
 
 TEST(TcmClassAttribution, SplitsPairMassByClassAgainstPlacement) {
-  TcmAccumulator acc(4);
   // Object 1 (class 7): read by threads 0 and 1 -> pair (0,1), min 100.
   // Object 2 (class 9): read by threads 0 and 2 -> pair (0,2), min 40.
-  fold(acc, {record(0, 0, {{1, 7, 100, 1}, {2, 9, 50, 1}}),
-           record(1, 0, {{1, 7, 120, 1}}),
-           record(2, 1, {{2, 9, 40, 1}})});
+  const ReaderArena arena = csr({record(0, 0, {{1, 7, 100, 1}, {2, 9, 50, 1}}),
+                                 record(1, 0, {{1, 7, 120, 1}}),
+                                 record(2, 1, {{2, 9, 40, 1}})});
 
   // Threads 0,1 on node 0; thread 2 on node 1: class 7's cell is local,
   // class 9's crosses the cut.
   const std::vector<NodeId> placement{0, 0, 1, 1};
-  const TcmClassAttribution cells = acc.attribute_cells(placement);
+  const TcmClassAttribution cells =
+      TcmBuilder::attribute_cells(arena, 4, placement);
   ASSERT_GE(cells.cut_bytes.size(), 10u);
   EXPECT_DOUBLE_EQ(cells.local_bytes[7], 100.0);
   EXPECT_DOUBLE_EQ(cells.cut_bytes[7], 0.0);
@@ -51,47 +52,64 @@ TEST(TcmClassAttribution, SplitsPairMassByClassAgainstPlacement) {
 }
 
 TEST(TcmClassAttribution, HonorsHorvitzThompsonWeightingAndMaxCombining) {
-  TcmAccumulator acc(2);
   // Gap 4 entries weight as bytes x gap; a re-log at lower bytes must not
   // shrink the cell (max-combining).
-  fold(acc, {record(0, 0, {{1, 3, 64, 4}}), record(1, 1, {{1, 3, 64, 4}})});
-  fold(acc, {record(0, 0, {{1, 3, 16, 4}})});
+  const ReaderArena arena =
+      csr({record(0, 0, {{1, 3, 64, 4}}), record(1, 1, {{1, 3, 64, 4}}),
+           record(0, 0, {{1, 3, 16, 4}})});
   const std::vector<NodeId> placement{0, 1};
-  const TcmClassAttribution cells = acc.attribute_cells(placement);
+  const TcmClassAttribution cells =
+      TcmBuilder::attribute_cells(arena, 2, placement);
   EXPECT_DOUBLE_EQ(cells.cut_bytes[3], 256.0);
 }
 
 TEST(TcmClassAttribution, UnplacedThreadsAndUntaggedObjectsStayOutOfTheCut) {
-  TcmAccumulator acc(3);
-  fold(acc, {record(0, 0, {{1, 2, 10, 1}}), record(2, 1, {{1, 2, 10, 1}})});
+  const ReaderArena arena =
+      csr({record(0, 0, {{1, 2, 10, 1}}), record(2, 1, {{1, 2, 10, 1}})});
   // Thread 2 is beyond the placement vector: its pairs count as local.
   const std::vector<NodeId> short_placement{0, 0};
-  EXPECT_DOUBLE_EQ(acc.attribute_cells(short_placement).cut_bytes[2], 0.0);
-  EXPECT_DOUBLE_EQ(acc.attribute_cells(short_placement).local_bytes[2], 10.0);
+  EXPECT_DOUBLE_EQ(
+      TcmBuilder::attribute_cells(arena, 3, short_placement).cut_bytes[2], 0.0);
+  EXPECT_DOUBLE_EQ(
+      TcmBuilder::attribute_cells(arena, 3, short_placement).local_bytes[2],
+      10.0);
 
-  // An untagged partial (add_readers without a class) contributes pair mass
-  // to the map but nothing to the attribution.
-  TcmAccumulator untagged(2);
-  const std::pair<ThreadId, double> readers[] = {{0, 5.0}, {1, 7.0}};
-  untagged.add_readers(42, readers);
+  // An untagged object (no class) contributes pair mass to the map but
+  // nothing to the attribution.
+  const ReaderArena untagged = csr({record(0, 0, {{42, kInvalidClass, 5, 1}}),
+                                    record(1, 1, {{42, kInvalidClass, 7, 1}})});
   const std::vector<NodeId> placement{0, 1};
-  EXPECT_TRUE(untagged.attribute_cells(placement).empty());
-  EXPECT_DOUBLE_EQ(untagged.dense().at(0, 1), 5.0);
+  EXPECT_TRUE(TcmBuilder::attribute_cells(untagged, 2, placement).empty());
+  EXPECT_DOUBLE_EQ(TcmBuilder::accrue_sparse(untagged, 2).densify().at(0, 1),
+                   5.0);
 }
 
 TEST(TcmClassAttribution, MergePropagatesClassTags) {
-  TcmAccumulator a(2), b(2), disjoint(2);
-  fold(a, {record(0, 0, {{1, 4, 10, 1}})});
-  fold(b, {record(1, 1, {{1, 4, 10, 1}})});
-  a.merge(b);
+  ArenaScratch scratch;
+  const ReaderArena a = csr({record(0, 0, {{1, 4, 10, 1}})});
+  const ReaderArena b = csr({record(1, 1, {{1, 4, 10, 1}})});
+  const ReaderArena ab = TcmBuilder::merge_arenas(a, b, scratch);
   const std::vector<NodeId> placement{0, 1};
-  EXPECT_DOUBLE_EQ(a.attribute_cells(placement).cut_bytes[4], 10.0);
+  EXPECT_DOUBLE_EQ(TcmBuilder::attribute_cells(ab, 2, placement).cut_bytes[4],
+                   10.0);
 
-  fold(disjoint, {record(0, 0, {{2, 6, 8, 1}}), record(1, 1, {{2, 6, 8, 1}})});
-  a.merge_disjoint_objects(disjoint);
-  const TcmClassAttribution cells = a.attribute_cells(placement);
+  const ReaderArena disjoint =
+      csr({record(0, 0, {{2, 6, 8, 1}}), record(1, 1, {{2, 6, 8, 1}})});
+  const ReaderArena all = TcmBuilder::merge_arenas(ab, disjoint, scratch);
+  const TcmClassAttribution cells =
+      TcmBuilder::attribute_cells(all, 2, placement);
   EXPECT_DOUBLE_EQ(cells.cut_bytes[4], 10.0);
   EXPECT_DOUBLE_EQ(cells.cut_bytes[6], 8.0);
+}
+
+TEST(TcmClassAttribution, FirstValidClassTagsAnObject) {
+  // An untagged sighting first, then a tagged one: the object still
+  // attributes to the tagged class.
+  const ReaderArena arena = csr({record(0, 0, {{1, kInvalidClass, 10, 1}}),
+                                 record(1, 1, {{1, 5, 10, 1}})});
+  const std::vector<NodeId> placement{0, 1};
+  EXPECT_DOUBLE_EQ(
+      TcmBuilder::attribute_cells(arena, 2, placement).cut_bytes[5], 10.0);
 }
 
 TEST(BalancerFeedback, CutShareIsTheCoreInfluenceSignal) {

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "apps/request_serving.hpp"
 #include "cluster/coordinator.hpp"
@@ -69,6 +70,49 @@ TEST(RequestServing, DeterministicAcrossIdenticalRuns) {
   EXPECT_DOUBLE_EQ(checksums[0], checksums[1]);
   EXPECT_EQ(maps[0], maps[1]);
   ASSERT_GT(maps[0].total(), 0.0);
+}
+
+TEST(RequestServing, ExplicitPumpBeforeTheTickChangesNothing) {
+  // The daemon only drains at ingest() and folds at the tick, so draining
+  // early (pump_daemon, once or twice) must leave every epoch's map and
+  // governor decision exactly as run_epoch()'s own drain would.
+  struct Epoch {
+    SquareMatrix tcm;
+    GovernorAction action;
+    bool rate_changed;
+    std::size_t resampled;
+    double overhead;
+  };
+  std::vector<Epoch> runs[3];
+  SquareMatrix full[3];
+  for (int pumps = 0; pumps < 3; ++pumps) {
+    Djvm vm(tenant_config(0));
+    vm.spawn_threads_round_robin(vm.config().threads);
+    RequestServingParams p = small_params();
+    p.epochs = 6;
+    RequestServingApp app(p);
+    app.build(vm);
+    for (int e = 0; e < 6; ++e) {
+      app.serve_epoch(vm);
+      for (int k = 0; k < pumps; ++k) vm.pump_daemon();
+      const EpochResult r = vm.run_epoch();
+      runs[pumps].push_back(Epoch{r.tcm, r.action, r.rate_changed,
+                                  r.resampled_objects, r.overhead_fraction});
+    }
+    full[pumps] = vm.daemon().build_full();
+  }
+  for (int pumps = 1; pumps < 3; ++pumps) {
+    ASSERT_EQ(runs[pumps].size(), runs[0].size());
+    for (std::size_t e = 0; e < runs[0].size(); ++e) {
+      EXPECT_EQ(runs[pumps][e].tcm, runs[0][e].tcm) << "epoch " << e;
+      EXPECT_EQ(runs[pumps][e].action, runs[0][e].action) << "epoch " << e;
+      EXPECT_EQ(runs[pumps][e].rate_changed, runs[0][e].rate_changed);
+      EXPECT_EQ(runs[pumps][e].resampled, runs[0][e].resampled);
+      EXPECT_EQ(runs[pumps][e].overhead, runs[0][e].overhead) << "epoch " << e;
+    }
+    EXPECT_EQ(full[pumps], full[0]);
+  }
+  ASSERT_GT(full[0].total(), 0.0);
 }
 
 TEST(RequestServing, DiurnalScheduleRotatesTheHotClass) {

@@ -1,10 +1,12 @@
 // Incremental sparse TCM pipeline: equivalence with the dense-from-scratch
 // reference over randomized record streams (arbitrary ingest splits,
-// mid-stream resets), arena reorganization, accumulator merges, and the
-// daemon's fold-at-ingest path.
+// mid-stream resets), arena reorganization, the whole-run CSR merge, and the
+// daemon's once-per-epoch fold (seeded differential sweep at the end).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 
 #include "common/rng.hpp"
 #include "profiling/accuracy.hpp"
@@ -171,25 +173,27 @@ TEST(TcmAccumulator, MidStreamResetDropsHistory) {
                     "post-reset fold");
 }
 
-TEST(TcmAccumulator, MergeEqualsCombinedStream) {
+TEST(TcmAccumulator, CsrMergeEqualsCombinedStream) {
+  // The daemon's whole-run merge: one CSR per epoch folded into persistent
+  // state equals a from-scratch build over both epochs' records.
   const auto a = random_stream(11, 10, 200, 80, 20);
   const auto b = random_stream(12, 10, 200, 80, 20);
-  TcmAccumulator acc_a(10), acc_b(10);
-  acc_a.add(a);
-  acc_b.add(b);
-  acc_a.merge(acc_b);
+  TcmAccumulator acc(10);
+  acc.add(TcmBuilder::reorganize_arena(a, /*weighted=*/true));
+  acc.add(TcmBuilder::reorganize_arena(b, /*weighted=*/true));
 
   std::vector<IntervalRecord> both = a;
   both.insert(both.end(), b.begin(), b.end());
-  expect_maps_equal(acc_a.dense(), TcmBuilder::build_reference(both, 10, true),
-                    "merged partials");
+  expect_maps_equal(acc.dense(), TcmBuilder::build_reference(both, 10, true),
+                    "merged epochs");
 }
 
-TEST(TcmAccumulator, MergeDisjointObjectsAddsPairArrays) {
-  TcmAccumulator a(4), b(4);
-  a.add_readers(1, std::vector<std::pair<ThreadId, double>>{{0, 10.0}, {1, 20.0}});
-  b.add_readers(2, std::vector<std::pair<ThreadId, double>>{{2, 5.0}, {3, 6.0}});
-  a.merge_disjoint_objects(b);
+TEST(TcmAccumulator, DisjointObjectsAddPairArrays) {
+  TcmAccumulator a(4);
+  a.add_readers(1,
+                std::vector<std::pair<ThreadId, double>>{{0, 10.0}, {1, 20.0}});
+  a.add_readers(2,
+                std::vector<std::pair<ThreadId, double>>{{2, 5.0}, {3, 6.0}});
   const SquareMatrix m = a.dense();
   EXPECT_DOUBLE_EQ(m.at(0, 1), 10.0);
   EXPECT_DOUBLE_EQ(m.at(2, 3), 5.0);
@@ -239,7 +243,7 @@ TEST(UpperTriangle, IndexingAndDensify) {
   EXPECT_EQ(ut.cell_count(), 6u);
 }
 
-// --- daemon fold-at-ingest ----------------------------------------------------
+// --- daemon fold at the epoch tick ------------------------------------------
 
 TEST(DaemonIncremental, EpochTcmMatchesReferenceAcrossIngestSplits) {
   KlassRegistry reg;
@@ -322,6 +326,315 @@ TEST(DaemonIncremental, BuildFullConsumesTheWindow) {
                     TcmBuilder::build_reference(b, 8, true),
                     "window after a build_full");
 }
+
+
+// --- single-fold daemon: seeded differential sweep -------------------------
+//
+// Random streams through the daemon, each epoch split over 1-5 ingest()
+// calls, checked against four oracles: the epoch map against
+// build_reference over the epoch's entries, build_full against
+// build_reference over the entries retention keeps (retention off or
+// drop-only; decay rescales kept objects, which build_reference cannot
+// express), the CSR cell attribution against a brute-force per-object walk,
+// and the whole-run pair array against an accumulator fed one reader at a
+// time (the add_one path), bit for bit.
+
+constexpr std::uint32_t kDiffThreads = 72;  // > 64 readers on wide objects
+constexpr std::uint32_t kDiffNodes = 4;
+constexpr std::uint32_t kDiffClasses = 3;
+constexpr std::uint64_t kDiffObjects = 96;
+constexpr std::uint64_t kDiffWide = 6;  // objects [0, kDiffWide) read by many
+constexpr std::uint64_t kDiffWindow = 30;  // the rest: a window sliding by
+constexpr std::uint64_t kDiffShift = 12;   // kDiffShift per epoch goes stale
+constexpr int kDiffEpochs = 10;
+
+enum class DiffRetention { kOff, kDropOnly, kDecaying };
+
+/// One epoch of records: thread ids run up to 3 past the map's dimension,
+/// class ids are sometimes invalid or beyond the registry, and gaps rise
+/// mid-run so re-logged byte values rise.  A wide object gets either one
+/// reader or every thread in an epoch; the other objects come from a window
+/// that slides each epoch (and wraps), so objects go stale, get evicted and
+/// come back.
+std::vector<IntervalRecord> diff_epoch(SplitMix64& rng, int epoch,
+                                       const std::vector<ClassId>& class_of) {
+  std::vector<IntervalRecord> out;
+  IntervalId next = 0;
+  const auto gap_of = [&](ClassId c) {
+    const bool raised = epoch >= kDiffEpochs / 2;
+    return static_cast<std::uint32_t>(1 + (raised ? c + 1 : 0));
+  };
+  const auto entry = [&](ObjectId obj) {
+    OalEntry e;
+    e.obj = obj;
+    const std::uint64_t roll = rng.next_below(20);
+    e.klass = roll == 0 ? kInvalidClass
+              : roll == 1
+                  ? kDiffClasses + static_cast<ClassId>(rng.next_below(5))
+                  : class_of[obj];
+    e.bytes =
+        static_cast<std::uint32_t>(16 + 8 * (obj % 7) + rng.next_below(3));
+    e.gap = gap_of(class_of[obj]);
+    return e;
+  };
+  const auto record = [&](ThreadId t) {
+    IntervalRecord r;
+    r.thread = t;
+    r.interval = next++;
+    r.node = static_cast<NodeId>(t % kDiffNodes);
+    return r;
+  };
+  for (ObjectId w = 0; w < kDiffWide; ++w) {
+    if (rng.next_below(2) == 0) {
+      IntervalRecord r =
+          record(static_cast<ThreadId>(rng.next_below(kDiffThreads)));
+      r.entries.push_back(entry(w));
+      out.push_back(std::move(r));
+    } else {
+      for (ThreadId t = 0; t < kDiffThreads + 3; ++t) {
+        IntervalRecord r = record(t);
+        r.entries.push_back(entry(w));
+        out.push_back(std::move(r));
+      }
+    }
+  }
+  const int records = 20 + static_cast<int>(rng.next_below(30));
+  for (int i = 0; i < records; ++i) {
+    IntervalRecord r =
+        record(static_cast<ThreadId>(rng.next_below(kDiffThreads + 3)));
+    const int entries = 1 + static_cast<int>(rng.next_below(12));
+    const std::uint64_t start = static_cast<std::uint64_t>(epoch) * kDiffShift;
+    for (int k = 0; k < entries; ++k) {
+      const std::uint64_t slide = start + rng.next_below(kDiffWindow);
+      r.entries.push_back(
+          entry(kDiffWide + slide % (kDiffObjects - kDiffWide)));
+    }
+    out.push_back(std::move(r));
+  }
+  // Interleave the wide objects' records with the rest.
+  for (std::size_t i = out.size(); i > 1; --i) {
+    std::swap(out[i - 1], out[rng.next_below(i)]);
+  }
+  return out;
+}
+
+/// Brute-force attribution: per object, its first in-registry class, the
+/// per-thread max weighted bytes, and every reader pair's min.
+TcmClassAttribution brute_force_cells(const std::vector<IntervalRecord>& rs,
+                                      const std::vector<NodeId>& placement,
+                                      const Heap& heap) {
+  std::vector<ClassId> klass(kDiffObjects, kInvalidClass);
+  std::vector<std::vector<double>> bytes(
+      kDiffObjects, std::vector<double>(kDiffThreads, 0.0));
+  TcmClassAttribution out;
+  out.cut_bytes.assign(kDiffClasses, 0.0);
+  out.local_bytes.assign(kDiffClasses, 0.0);
+  out.home_mass.assign(kDiffClasses, 0.0);
+  out.thread_mass.assign(kDiffClasses, std::vector<double>(kDiffThreads, 0.0));
+  for (const IntervalRecord& r : rs) {
+    for (const OalEntry& e : r.entries) {
+      const ClassId c = e.klass < kDiffClasses ? e.klass : kInvalidClass;
+      if (klass[e.obj] == kInvalidClass) klass[e.obj] = c;
+      const double w = static_cast<double>(e.bytes) * e.gap;
+      if (r.thread < kDiffThreads) {
+        bytes[e.obj][r.thread] = std::max(bytes[e.obj][r.thread], w);
+      }
+      if (c != kInvalidClass && heap.meta(e.obj).home != r.node) {
+        out.home_mass[c] += w;
+      }
+    }
+  }
+  const auto node_of = [&](ThreadId t) {
+    return t < placement.size() ? placement[t] : kInvalidNode;
+  };
+  for (ObjectId o = 0; o < kDiffObjects; ++o) {
+    if (klass[o] == kInvalidClass) continue;
+    for (ThreadId i = 0; i < kDiffThreads; ++i) {
+      for (ThreadId j = i + 1; j < kDiffThreads; ++j) {
+        const double w = std::min(bytes[o][i], bytes[o][j]);
+        if (w <= 0.0) continue;
+        const NodeId ni = node_of(i);
+        const NodeId nj = node_of(j);
+        if (ni != nj && ni != kInvalidNode && nj != kInvalidNode) {
+          out.cut_bytes[klass[o]] += w;
+        } else {
+          out.local_bytes[klass[o]] += w;
+        }
+        out.thread_mass[klass[o]][i] += w;
+        out.thread_mass[klass[o]][j] += w;
+      }
+    }
+  }
+  return out;
+}
+
+void expect_cells_near(const TcmClassAttribution& got,
+                       const TcmClassAttribution& want) {
+  const auto at = [](const std::vector<double>& v, std::size_t i) {
+    return i < v.size() ? v[i] : 0.0;
+  };
+  ASSERT_LE(got.cut_bytes.size(), kDiffClasses);
+  ASSERT_LE(got.home_mass.size(), kDiffClasses);
+  for (std::size_t c = 0; c < kDiffClasses; ++c) {
+    EXPECT_NEAR(at(got.cut_bytes, c), want.cut_bytes[c], 1e-9) << c;
+    EXPECT_NEAR(at(got.local_bytes, c), want.local_bytes[c], 1e-9) << c;
+    EXPECT_NEAR(at(got.home_mass, c), want.home_mass[c], 1e-9) << c;
+    for (ThreadId t = 0; t < kDiffThreads; ++t) {
+      const double g =
+          c < got.thread_mass.size() ? at(got.thread_mass[c], t) : 0.0;
+      EXPECT_NEAR(g, want.thread_mass[c][t], 1e-9)
+          << "class " << c << " thread " << t;
+    }
+  }
+}
+
+class SingleFoldDaemonDiff : public ::testing::TestWithParam<int> {};
+
+TEST_P(SingleFoldDaemonDiff, MatchesOraclesOnRandomStreams) {
+  const int seed = GetParam();
+  for (const DiffRetention mode :
+       {DiffRetention::kOff, DiffRetention::kDropOnly,
+        DiffRetention::kDecaying}) {
+    const int mode_id = static_cast<int>(mode);
+    SCOPED_TRACE("repro: test_tcm_incremental "
+                 "--gtest_filter=Seeds/SingleFoldDaemonDiff.*/" +
+                 std::to_string(seed) + " (retention mode " +
+                 std::to_string(mode_id) + ")");
+    KlassRegistry reg;
+    Heap heap(reg, kDiffNodes);
+    for (std::uint32_t c = 0; c < kDiffClasses; ++c) {
+      reg.register_class("C" + std::to_string(c), 64);
+    }
+    SamplingPlan plan(heap);
+    SplitMix64 rng(0x5EED0000ull + static_cast<std::uint64_t>(seed) * 31 +
+                   static_cast<std::uint64_t>(mode_id));
+    std::vector<ClassId> class_of;
+    for (ObjectId o = 0; o < kDiffObjects; ++o) {
+      class_of.push_back(static_cast<ClassId>(rng.next_below(kDiffClasses)));
+      const auto home = static_cast<NodeId>(rng.next_below(kDiffNodes));
+      const ObjectId id = heap.alloc(class_of.back(), home);
+      ASSERT_EQ(id, o);
+      plan.on_alloc(id);
+    }
+
+    // One lane for every thread: the daemon drains records in stream order,
+    // so the oracle accumulator can replay the daemon's exact CSR order.
+    IngestHub hub(IngestConfig{});
+    hub.ensure_lanes(1);
+    CorrelationDaemon daemon(plan, kDiffThreads);
+    RetentionPolicy policy;
+    if (mode != DiffRetention::kOff) {
+      policy.idle_epochs = 2;
+      policy.compact_period = 1 + static_cast<std::uint32_t>(rng.next_below(2));
+      policy.decay = mode == DiffRetention::kDecaying ? 0.3 : 0.0;
+    }
+    daemon.set_retention(policy);
+    // A placement shorter than the map: the last threads stay unplaced.
+    std::vector<NodeId> placement(kDiffThreads - 5);
+    for (NodeId& n : placement) {
+      n = static_cast<NodeId>(rng.next_below(kDiffNodes));
+    }
+    daemon.set_influence_placement(placement);
+
+    TcmAccumulator one_by_one(kDiffThreads);
+    // Live entries per object for the drop-only build_full oracle: an
+    // object's records since it was last evicted, and its last touch.
+    std::vector<std::vector<IntervalRecord>> live(kDiffObjects);
+    std::vector<int> last_touch(kDiffObjects, -1);
+    std::size_t dropped = 0;
+
+    for (int epoch = 0; epoch < kDiffEpochs; ++epoch) {
+      SCOPED_TRACE("epoch " + std::to_string(epoch));
+      const std::vector<IntervalRecord> rs = diff_epoch(rng, epoch, class_of);
+      // 1-5 ingest() calls over the epoch.
+      const int splits = 1 + static_cast<int>(rng.next_below(5));
+      std::size_t pos = 0;
+      for (int k = 0; k < splits; ++k) {
+        const std::size_t end =
+            k + 1 == splits ? rs.size()
+                            : pos + rng.next_below(rs.size() - pos + 1);
+        for (; pos < end; ++pos) {
+          const IntervalRecord& r = rs[pos];
+          hub.append(0, r.thread, r.interval, r.node, r.start_pc, r.end_pc,
+                     r.entries);
+        }
+        hub.flush(0);
+        daemon.ingest(hub);
+      }
+
+      // The last epoch stays unconsumed: build_full folds it.
+      const bool last = epoch + 1 == kDiffEpochs;
+      if (!last) {
+        const EpochResult out = daemon.run_epoch();
+        expect_maps_equal(out.tcm,
+                          TcmBuilder::build_reference(rs, kDiffThreads),
+                          "epoch map vs build_reference");
+        expect_cells_near(out.cells, brute_force_cells(rs, placement, heap));
+        dropped = out.dropped_objects;
+        if (HasFailure()) return;  // one failing epoch is enough to report
+      }
+
+      const ReaderArena csr =
+          TcmBuilder::reorganize_arena(rs, /*weighted=*/true);
+      for (std::size_t k = 0; k < csr.object_count(); ++k) {
+        for (const auto& reader : csr.readers_of(k)) {
+          one_by_one.add_readers(csr.objects[k], {&reader, 1});
+        }
+      }
+      for (const IntervalRecord& r : rs) {
+        for (const OalEntry& e : r.entries) {
+          IntervalRecord one = r;
+          one.entries = {e};
+          live[e.obj].push_back(std::move(one));
+          if (r.thread < kDiffThreads) last_touch[e.obj] = epoch;
+        }
+      }
+      if (policy.active() && !last) {
+        one_by_one.advance_epoch();
+        const auto now = static_cast<int>(one_by_one.epoch());
+        if (now % static_cast<int>(policy.compact_period) == 0) {
+          one_by_one.compact(policy.idle_epochs, policy.decay);
+          if (mode == DiffRetention::kDropOnly) {
+            for (ObjectId o = 0; o < kDiffObjects; ++o) {
+              if (last_touch[o] >= 0 &&
+                  now - last_touch[o] >= static_cast<int>(policy.idle_epochs)) {
+                live[o].clear();
+                last_touch[o] = -1;
+              }
+            }
+          }
+        }
+      }
+    }
+
+    const SquareMatrix full = daemon.build_full();
+    const SquareMatrix model = one_by_one.dense();
+    ASSERT_EQ(full.size(), model.size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      for (std::size_t j = 0; j < full.size(); ++j) {
+        const double a = full.at(i, j);
+        const double b = model.at(i, j);
+        differing += std::memcmp(&a, &b, sizeof(double)) != 0;
+      }
+    }
+    EXPECT_EQ(differing, 0u) << "whole-run cells not bit-identical to add_one";
+    if (mode == DiffRetention::kDropOnly) {
+      EXPECT_GT(dropped, 0u) << "the stream must exercise eviction";
+    }
+    if (mode != DiffRetention::kDecaying) {
+      std::vector<IntervalRecord> kept;
+      for (const auto& per_object : live) {
+        kept.insert(kept.end(), per_object.begin(), per_object.end());
+      }
+      expect_maps_equal(full, TcmBuilder::build_reference(kept, kDiffThreads),
+                        "build_full vs build_reference over live entries");
+    }
+    if (HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SingleFoldDaemonDiff, ::testing::Range(0, 12));
 
 }  // namespace
 }  // namespace djvm

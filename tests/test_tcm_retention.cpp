@@ -116,11 +116,11 @@ TEST(TcmRetention, DecayScalesStalePairMassExactly) {
                                                                   {1, 100.0}};
   const std::vector<std::pair<ThreadId, double>> live_readers = {{2, 80.0},
                                                                  {3, 80.0}};
-  acc.add_readers(7, stale_readers, 0);
-  acc.add_readers(8, live_readers, 0);
+  acc.add_readers(7, stale_readers);
+  acc.add_readers(8, live_readers);
   for (int i = 0; i < 3; ++i) {
     acc.advance_epoch();
-    acc.add_readers(8, live_readers, 0);
+    acc.add_readers(8, live_readers);
   }
 
   TcmCompactStats stats = acc.compact(/*idle_epochs=*/2, /*decay=*/0.5);
@@ -136,7 +136,7 @@ TEST(TcmRetention, DecayScalesStalePairMassExactly) {
   for (int round = 0; round < 16 && acc.objects_tracked() == tracked_before;
        ++round) {
     acc.advance_epoch();
-    acc.add_readers(8, live_readers, 0);
+    acc.add_readers(8, live_readers);
     acc.compact(2, 0.5);
   }
   EXPECT_EQ(acc.objects_tracked(), tracked_before - 1);
@@ -159,11 +159,9 @@ TEST(TcmRetention, MergeAfterCompactMatchesReference) {
   }
   ASSERT_GT(acc.compact(3, 0.0).dropped_objects, 0u);
 
-  // Merging a fresh partial into a compacted accumulator must behave as if
-  // the dropped objects never existed.
-  TcmAccumulator partial(kThreads);
-  partial.add(incoming);
-  acc.merge(partial);
+  // Merging a fresh epoch's CSR into a compacted accumulator must behave as
+  // if the dropped objects never existed.
+  acc.add(TcmBuilder::reorganize_arena(incoming, /*weighted=*/true));
 
   std::vector<IntervalRecord> surviving = live;
   surviving.insert(surviving.end(), incoming.begin(), incoming.end());
