@@ -22,6 +22,9 @@
 // gates that both arena consumers — the incremental fold
 // (TcmAccumulator::add(OalArena)) and the one-shot CSR pipeline
 // (DistributedTcmReducer::build) — match one final build_reference to 1e-9.
+// It also gates their ratio: the incremental fold may take at most 2.5x the
+// one-shot CSR pipeline's time in the same run, a bound that holds on any
+// host where the absolute seconds drift with its speed.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -271,6 +274,11 @@ int main() {
   report.latency_metric("arena_incr_seconds_256t_1m", arena.incr_seconds, 0.35);
   report.latency_metric("arena_csr_seconds_256t_1m", arena.csr_seconds, 0.35);
   report.metric("arena_reference_seconds_256t_1m", arena.reference_seconds);
+  // Host-independent form of the two timings above: the incremental fold's
+  // cost per unit of one-shot CSR work, from the same run.
+  const double incr_over_csr =
+      arena.csr_seconds > 0.0 ? arena.incr_seconds / arena.csr_seconds : 0.0;
+  report.metric("arena_incr_over_csr_256t_1m", incr_over_csr, "min", 0.5);
   report.metric("arena_incr_abs_error", arena.incr_error, "min", 0.0, 1e-9);
   report.metric("arena_csr_abs_error", arena.csr_error, "min", 0.0, 1e-9);
 
@@ -289,5 +297,9 @@ int main() {
       "arena CSR pipeline matches build_reference at 256 threads x 1M "
       "objects (<= 1e-9)",
       arena.csr_error <= 1e-9, arena.csr_error, 1e-9, "<=");
+  report.check(
+      "arena incremental fold within 2.5x of the CSR pipeline at 256 threads "
+      "x 1M objects",
+      incr_over_csr <= 2.5, incr_over_csr, 2.5, "<=");
   return report.finish();
 }

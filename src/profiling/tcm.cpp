@@ -1,6 +1,7 @@
 #include "profiling/tcm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "profiling/ingest.hpp"
@@ -348,77 +349,117 @@ SquareMatrix TcmBuilder::build_reference(std::span<const IntervalRecord> records
 TcmAccumulator::TcmAccumulator(std::uint32_t threads, bool weighted)
     : threads_(threads),
       weighted_(weighted),
+      free_blocks_(std::size_t{threads} + 1, kNone),
       where_(threads),
       where_stamp_(threads, 0),
       pairs_(threads) {}
 
-std::int32_t TcmAccumulator::assign_slot(ObjectId obj) {
+std::size_t TcmAccumulator::assign_slot(ObjectId obj) {
   bool fresh = false;
   const std::int32_t slot = slots_.get_or_assign(obj, fresh);
   if (fresh) {
     touched_.push_back(obj);
-    heads_.push_back(kNone);
+    blocks_.push_back(Block{});
     last_touch_.push_back(epoch_);
     decay_epoch_.push_back(kNeverDecayed);
   }
-  return slot;
+  return static_cast<std::size_t>(slot);
 }
 
-std::int32_t TcmAccumulator::alloc_reader(ThreadId thread, double bytes,
-                                          std::int32_t next) {
-  ++live_readers_;
-  if (free_head_ != kNone) {
-    const std::int32_t r = free_head_;
-    free_head_ = pool_[r].next;
-    pool_[r] = Reader{thread, bytes, next};
-    return r;
+std::uint32_t TcmAccumulator::take_block(std::uint32_t cap) {
+  std::uint32_t& head = free_blocks_[cap];
+  if (head != kNone) {
+    const std::uint32_t offset = head;
+    head = reader_thread_[offset];
+    return offset;
   }
-  pool_.push_back(Reader{thread, bytes, next});
-  return static_cast<std::int32_t>(pool_.size()) - 1;
+  const std::size_t end = reader_thread_.size() + cap;
+  if (end > reader_thread_.capacity()) {
+    // Reserve in powers of two, as push_back grows a single array.
+    const std::size_t grown = std::bit_ceil(end);
+    reader_thread_.reserve(grown);
+    reader_bytes_.reserve(grown);
+  }
+  const auto offset = static_cast<std::uint32_t>(reader_thread_.size());
+  reader_thread_.resize(end);
+  reader_bytes_.resize(end);
+  return offset;
 }
 
-void TcmAccumulator::raise_reader(std::size_t slot, std::int32_t found,
+void TcmAccumulator::free_block(const Block& block) {
+  if (block.cap == 0) return;
+  reader_thread_[block.offset] = free_blocks_[block.cap];
+  free_blocks_[block.cap] = block.offset;
+}
+
+void TcmAccumulator::reserve_readers(std::size_t slot, std::uint32_t want) {
+  Block& block = blocks_[slot];
+  if (want <= block.cap) return;
+  // A new object's block is exact; a growing one at least doubles, capped at
+  // the map's dimension (an object holds each thread at most once).
+  const std::uint32_t cap = std::min(std::max(want, 2 * block.cap), threads_);
+  const std::uint32_t offset = take_block(cap);
+  std::copy_n(reader_thread_.begin() + block.offset, block.count,
+              reader_thread_.begin() + offset);
+  std::copy_n(reader_bytes_.begin() + block.offset, block.count,
+              reader_bytes_.begin() + offset);
+  free_block(block);
+  block.offset = offset;
+  block.cap = cap;
+}
+
+void TcmAccumulator::raise_reader(std::size_t slot, std::uint32_t pos,
                                   double bytes) {
-  const double old = pool_[found].bytes;
+  const Block& block = blocks_[slot];
+  const ThreadId* threads = reader_thread_.data() + block.offset;
+  double* held = reader_bytes_.data() + block.offset;
+  const double old = held[pos];
   if (bytes <= old) return;  // max-combining: nothing new to contribute
   // Raising this reader's byte value moves every pair it participates in by
   // min(new, other) - min(old, other); the invariant pair == min(cur_i,
   // cur_j) per object is preserved.
-  const ThreadId thread = pool_[found].thread;
-  for (std::int32_t r = heads_[slot]; r != kNone; r = pool_[r].next) {
-    if (r == found) continue;
-    const double other = pool_[r].bytes;
-    const double delta = std::min(bytes, other) - std::min(old, other);
-    if (delta > 0.0) pairs_.add(thread, pool_[r].thread, delta);
+  for (std::uint32_t r = 0; r < block.count; ++r) {
+    if (r == pos) continue;
+    const double delta = std::min(bytes, held[r]) - std::min(old, held[r]);
+    if (delta > 0.0) pairs_.add(threads[pos], threads[r], delta);
   }
-  pool_[found].bytes = bytes;
+  held[pos] = bytes;
 }
 
-std::int32_t TcmAccumulator::insert_reader(std::size_t slot, ThreadId thread,
-                                           double bytes) {
-  for (std::int32_t r = heads_[slot]; r != kNone; r = pool_[r].next) {
-    pairs_.add(thread, pool_[r].thread, std::min(bytes, pool_[r].bytes));
+std::uint32_t TcmAccumulator::insert_reader(std::size_t slot, ThreadId thread,
+                                            double bytes) {
+  Block& block = blocks_[slot];
+  assert(block.count < block.cap);
+  ThreadId* threads = reader_thread_.data() + block.offset;
+  double* held = reader_bytes_.data() + block.offset;
+  for (std::uint32_t r = 0; r < block.count; ++r) {
+    pairs_.add(thread, threads[r], std::min(bytes, held[r]));
   }
-  heads_[slot] = alloc_reader(thread, bytes, heads_[slot]);
-  return heads_[slot];
+  threads[block.count] = thread;
+  held[block.count] = bytes;
+  ++live_readers_;
+  return block.count++;
 }
 
 void TcmAccumulator::add_one(ObjectId obj, ThreadId thread, double bytes) {
   if (thread >= threads_) return;  // beyond the map's dimension (as accrue)
-  const auto slot = static_cast<std::size_t>(assign_slot(obj));
+  const std::size_t slot = assign_slot(obj);
   last_touch_[slot] = epoch_;
-  for (std::int32_t r = heads_[slot]; r != kNone; r = pool_[r].next) {
-    if (pool_[r].thread == thread) {
+  const Block& block = blocks_[slot];
+  const ThreadId* threads = reader_thread_.data() + block.offset;
+  for (std::uint32_t r = 0; r < block.count; ++r) {
+    if (threads[r] == thread) {
       raise_reader(slot, r, bytes);
       return;
     }
   }
+  reserve_readers(slot, block.count + 1);
   insert_reader(slot, thread, bytes);
 }
 
 void TcmAccumulator::add(std::span<const IntervalRecord> records) {
   // Arena-reorganize the batch first: in-batch duplicates collapse under a
-  // stamp check instead of paying a reader-list walk each.  The scratch
+  // stamp check instead of paying a block scan each.  The scratch
   // persists across folds, so steady-state batches allocate only the
   // arena's own payload.
   add(TcmBuilder::reorganize_arena(records, weighted_, scratch_));
@@ -437,30 +478,41 @@ void TcmAccumulator::add(const ReaderArena& arena) {
 void TcmAccumulator::add_readers(
     ObjectId obj, std::span<const std::pair<ThreadId, double>> readers) {
   const auto in_range = [&](const auto& r) { return r.first < threads_; };
-  // A lone reader walks the list only as far as its own node; stamping the
-  // whole list would cost more than the walk it saves.
+  // A lone reader scans the block only as far as its own cell; stamping the
+  // whole block would cost more than the scan it saves.
   if (readers.size() < 2 || std::count_if(readers.begin(), readers.end(),
                                           in_range) < 2) {
     for (const auto& [thread, bytes] : readers) add_one(obj, thread, bytes);
     return;
   }
-  const auto slot = static_cast<std::size_t>(assign_slot(obj));
+  const std::size_t slot = assign_slot(obj);
   last_touch_[slot] = epoch_;
-  // Several readers: index the object's whole-run list by thread once, so
-  // each incoming reader finds its node in O(1).  The pair updates are
-  // add_one's own (raise_reader / insert_reader), in add_one's order.
+  // Several readers: index the object's block by thread once, so each
+  // incoming reader finds its cell in O(1), and count the readers the block
+  // does not hold yet (kNone marks them) so it grows at most once.  The pair
+  // updates are add_one's own (raise_reader / insert_reader), in add_one's
+  // order.
   const std::uint64_t stamp = ++stamp_;
-  for (std::int32_t r = heads_[slot]; r != kNone; r = pool_[r].next) {
-    where_[pool_[r].thread] = r;
-    where_stamp_[pool_[r].thread] = stamp;
+  const Block& block = blocks_[slot];
+  for (std::uint32_t r = 0; r < block.count; ++r) {
+    const ThreadId thread = reader_thread_[block.offset + r];
+    where_[thread] = r;
+    where_stamp_[thread] = stamp;
   }
+  std::uint32_t fresh = 0;
+  for (const auto& r : readers) {
+    if (!in_range(r) || where_stamp_[r.first] == stamp) continue;
+    where_[r.first] = kNone;
+    where_stamp_[r.first] = stamp;
+    ++fresh;
+  }
+  reserve_readers(slot, block.count + fresh);
   for (const auto& [thread, bytes] : readers) {
     if (thread >= threads_) continue;
-    if (where_stamp_[thread] == stamp) {
-      raise_reader(slot, where_[thread], bytes);
-    } else {
+    if (where_[thread] == kNone) {
       where_[thread] = insert_reader(slot, thread, bytes);
-      where_stamp_[thread] = stamp;
+    } else {
+      raise_reader(slot, where_[thread], bytes);
     }
   }
 }
@@ -468,12 +520,13 @@ void TcmAccumulator::add_readers(
 void TcmAccumulator::reset() {
   slots_.release(touched_);
   touched_.clear();
-  heads_.clear();
+  blocks_.clear();
   last_touch_.clear();
   decay_epoch_.clear();
-  pool_.clear();
+  reader_thread_.clear();
+  reader_bytes_.clear();
+  std::fill(free_blocks_.begin(), free_blocks_.end(), kNone);
   pairs_.clear();
-  free_head_ = kNone;
   live_readers_ = 0;
   epoch_ = 0;
 }
@@ -484,32 +537,28 @@ TcmCompactStats TcmAccumulator::compact(std::uint32_t idle_epochs,
   if (idle_epochs == 0) return stats;  // age 0 would evict the live epoch too
   bool any_dead = false;
   for (std::size_t slot = 0; slot < touched_.size(); ++slot) {
-    if (heads_[slot] == kNone) continue;  // already evicted, awaiting compact
+    Block& block = blocks_[slot];
+    if (block.count == 0) continue;  // already evicted, awaiting compact
     const std::uint32_t age = epoch_ - last_touch_[slot];
     if (age < idle_epochs) continue;
+    const ThreadId* threads = reader_thread_.data() + block.offset;
+    double* held = reader_bytes_.data() + block.offset;
 
     if (decay > 0.0) {
       if (decay_epoch_[slot] == epoch_) continue;  // idempotent per epoch
-      double max_bytes = 0.0;
-      for (std::int32_t r = heads_[slot]; r != kNone; r = pool_[r].next) {
-        max_bytes = std::max(max_bytes, pool_[r].bytes);
-      }
+      const double max_bytes = *std::max_element(held, held + block.count);
       if (decay * max_bytes >= 1.0) {
         // Scaling every reader of this object by d scales each of its pair
         // contributions min(b_i, b_j) by d as well: subtract the (1 - d)
         // share, then scale the bytes, and the invariant holds over the
         // decayed values.
-        for (std::int32_t i = heads_[slot]; i != kNone; i = pool_[i].next) {
-          for (std::int32_t j = pool_[i].next; j != kNone; j = pool_[j].next) {
-            const double w = std::min(pool_[i].bytes, pool_[j].bytes);
-            if (w > 0.0) {
-              pairs_.add(pool_[i].thread, pool_[j].thread, -(1.0 - decay) * w);
-            }
+        for (std::uint32_t i = 0; i < block.count; ++i) {
+          for (std::uint32_t j = i + 1; j < block.count; ++j) {
+            const double w = std::min(held[i], held[j]);
+            if (w > 0.0) pairs_.add(threads[i], threads[j], -(1.0 - decay) * w);
           }
         }
-        for (std::int32_t r = heads_[slot]; r != kNone; r = pool_[r].next) {
-          pool_[r].bytes *= decay;
-        }
+        for (std::uint32_t r = 0; r < block.count; ++r) held[r] *= decay;
         decay_epoch_[slot] = epoch_;
         ++stats.decayed_objects;
         continue;
@@ -519,22 +568,17 @@ TcmCompactStats TcmAccumulator::compact(std::uint32_t idle_epochs,
 
     // Drop outright: subtract this object's exact pair contribution (byte
     // values are the ones the adds accumulated, so never-decayed objects
-    // cancel exactly), return its reader nodes to the free list.
-    for (std::int32_t i = heads_[slot]; i != kNone; i = pool_[i].next) {
-      for (std::int32_t j = pool_[i].next; j != kNone; j = pool_[j].next) {
-        const double w = std::min(pool_[i].bytes, pool_[j].bytes);
-        if (w > 0.0) pairs_.add(pool_[i].thread, pool_[j].thread, -w);
+    // cancel exactly), return its block to the free chain for its capacity.
+    for (std::uint32_t i = 0; i < block.count; ++i) {
+      for (std::uint32_t j = i + 1; j < block.count; ++j) {
+        const double w = std::min(held[i], held[j]);
+        if (w > 0.0) pairs_.add(threads[i], threads[j], -w);
       }
     }
-    for (std::int32_t r = heads_[slot]; r != kNone;) {
-      const std::int32_t next = pool_[r].next;
-      pool_[r].next = free_head_;
-      free_head_ = r;
-      r = next;
-      --live_readers_;
-      ++stats.freed_readers;
-    }
-    heads_[slot] = kNone;
+    free_block(block);
+    live_readers_ -= block.count;
+    stats.freed_readers += block.count;
+    block = Block{};
     any_dead = true;
     ++stats.dropped_objects;
   }
@@ -542,19 +586,19 @@ TcmCompactStats TcmAccumulator::compact(std::uint32_t idle_epochs,
   if (any_dead) {
     // Compact the slot arrays in place (stable order), then re-assign
     // sequential slots: get_or_assign hands out 0, 1, 2... in call order, so
-    // survivor k lands back at slot k.
+    // survivor k lands back at slot k.  Blocks stay where they are.
     slots_.release(touched_);
     std::size_t w = 0;
     for (std::size_t slot = 0; slot < touched_.size(); ++slot) {
-      if (heads_[slot] == kNone) continue;
+      if (blocks_[slot].count == 0) continue;
       touched_[w] = touched_[slot];
-      heads_[w] = heads_[slot];
+      blocks_[w] = blocks_[slot];
       last_touch_[w] = last_touch_[slot];
       decay_epoch_[w] = decay_epoch_[slot];
       ++w;
     }
     touched_.resize(w);
-    heads_.resize(w);
+    blocks_.resize(w);
     last_touch_.resize(w);
     decay_epoch_.resize(w);
     for (std::size_t k = 0; k < w; ++k) {
@@ -569,10 +613,12 @@ TcmCompactStats TcmAccumulator::compact(std::uint32_t idle_epochs,
 
 std::size_t TcmAccumulator::memory_bytes() const noexcept {
   return touched_.capacity() * sizeof(ObjectId) +
-         heads_.capacity() * sizeof(std::int32_t) +
+         blocks_.capacity() * sizeof(Block) +
          last_touch_.capacity() * sizeof(std::uint32_t) +
          decay_epoch_.capacity() * sizeof(std::uint32_t) +
-         pool_.capacity() * sizeof(Reader) +
+         reader_thread_.capacity() * sizeof(ThreadId) +
+         reader_bytes_.capacity() * sizeof(double) +
+         free_blocks_.capacity() * sizeof(std::uint32_t) +
          pairs_.cell_count() * sizeof(double);
 }
 

@@ -21,11 +21,12 @@
 //    epoch tick asks: `accrue_sparse` gives the window's pair weights in a
 //    flat upper-triangular accumulator (densified once), `attribute_cells`
 //    splits the same pairs by owning class, and `TcmAccumulator::add` folds
-//    the arena into persistent whole-run state (per-object reader lists
-//    threaded through one pool).  That fold costs O(sum over objects of
-//    readers^2) for *new* information only — a re-logged entry that does not
-//    raise a reader's byte value costs no pair updates, and on an object
-//    receiving several readers just one thread-indexed table lookup.
+//    the arena into persistent whole-run state (each object's readers in one
+//    contiguous block of two split thread/bytes arrays).  That fold costs
+//    O(sum over objects of readers^2) for *new* information only — a
+//    re-logged entry that does not raise a reader's byte value costs no pair
+//    updates, and on an object receiving several readers just one
+//    thread-indexed table lookup.
 //
 // `TcmBuilder::build` routes through the CSR pipeline; tests assert the two
 // pipelines agree within 1e-9 (bit-exact in practice, since byte weights are
@@ -244,7 +245,7 @@ class TcmBuilder {
 struct TcmCompactStats {
   std::size_t dropped_objects = 0;  ///< stale objects fully evicted
   std::size_t decayed_objects = 0;  ///< stale objects down-weighted, kept
-  std::size_t freed_readers = 0;    ///< pool nodes returned to the free list
+  std::size_t freed_readers = 0;    ///< reader cells returned to the free chains
 };
 
 /// Persistent incremental sparse TCM accumulator: fold batches in as deltas
@@ -262,7 +263,7 @@ struct TcmCompactStats {
 /// to match — the invariant above is preserved exactly, just over decayed
 /// byte values) or, when `decay` is 0 or the decayed mass has shrunk below
 /// one byte, is dropped outright (its exact pair contribution subtracted,
-/// its reader nodes returned to a free list, its slot compacted away).
+/// its reader block returned to a free chain, its slot compacted away).
 /// Because every drop/decay is recomputed from the object's own reader list,
 /// live objects are never perturbed: the map restricted to touched objects
 /// stays bit-for-bit the map a from-scratch build over their records yields.
@@ -271,7 +272,7 @@ class TcmAccumulator {
   explicit TcmAccumulator(std::uint32_t threads, bool weighted = true);
 
   /// Folds one batch of records in as a delta (arena-reorganized first, so
-  /// in-batch duplicates cost one stamp check, not a reader-list walk).
+  /// in-batch duplicates cost one stamp check, not a block scan).
   void add(std::span<const IntervalRecord> records);
 
   /// Folds one drained ingest log arena in as a delta — identical semantics
@@ -305,14 +306,16 @@ class TcmAccumulator {
   /// pair mass adjusted to keep the accumulator invariant) or dropped
   /// (`decay` == 0, or the decayed mass fell below one byte).  Idempotent
   /// within one epoch: a second pass finds nothing new to decay and nothing
-  /// left to drop.  O(stale reader-list mass + tracked objects).
+  /// left to drop.  O(stale reader-block mass + tracked objects).
   TcmCompactStats compact(std::uint32_t idle_epochs, double decay);
 
-  /// Payload bytes currently held (vector capacities + pair cells).  The
-  /// ObjectSlotMap's direct index table is excluded: it is O(max object id
-  /// ever seen) by design and shared-capacity across resets, so it would
-  /// drown the signal this accessor exists to expose — whether retention
-  /// keeps the per-object state bounded.
+  /// Payload bytes currently held: vector capacities (slot columns, both
+  /// reader arrays including free and spare block cells, the free-chain
+  /// heads) plus pair cells.  The ObjectSlotMap's direct index table is
+  /// excluded: it is O(max object id ever seen) by design and
+  /// shared-capacity across resets, so it would drown the signal this
+  /// accessor exists to expose — whether retention keeps the per-object
+  /// state bounded.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
   /// Densifies the pair accumulator into the symmetric N x N map.
@@ -324,57 +327,71 @@ class TcmAccumulator {
   [[nodiscard]] std::size_t objects_tracked() const noexcept {
     return touched_.size();
   }
-  /// Total (object, thread) reader entries currently held (free-listed pool
-  /// nodes excluded).
+  /// Total (object, thread) reader entries currently held (free and unused
+  /// block cells excluded).
   [[nodiscard]] std::size_t reader_entries() const noexcept {
     return live_readers_;
   }
   [[nodiscard]] const UpperTriangle& pairs() const noexcept { return pairs_; }
 
  private:
-  /// Reader-list node in the shared pool (per-object singly linked list; the
-  /// lists are short — most objects have few readers — so pointer chasing
-  /// through one contiguous pool beats a vector allocation per object).
-  struct Reader {
-    ThreadId thread;
-    double bytes;
-    std::int32_t next;
+  /// One object's readers: cells [offset, offset + count) of the reader
+  /// arrays, with room for `cap` (count 0 = evicted, awaiting compact).
+  struct Block {
+    std::uint32_t offset = 0;
+    std::uint32_t count = 0;
+    std::uint32_t cap = 0;
   };
 
-  static constexpr std::int32_t kNone = -1;
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
   /// decay_epoch_ sentinel: slot never decayed.
   static constexpr std::uint32_t kNeverDecayed = 0xFFFFFFFFu;
 
-  std::int32_t assign_slot(ObjectId obj);
+  std::size_t assign_slot(ObjectId obj);
 
   void add_one(ObjectId obj, ThreadId thread, double bytes);
-  /// Raises pool node `found` of the object at `slot` to `bytes` when
-  /// higher, moving every pair it is in to match.
-  void raise_reader(std::size_t slot, std::int32_t found, double bytes);
+  /// Raises reader `pos` of the object at `slot` to `bytes` when higher,
+  /// moving every pair it is in to match.
+  void raise_reader(std::size_t slot, std::uint32_t pos, double bytes);
   /// First sighting of `thread` on the object at `slot`: pairs it with every
-  /// listed reader, then pushes it at the list head (returned).
-  std::int32_t insert_reader(std::size_t slot, ThreadId thread, double bytes);
+  /// held reader, then appends it to the block (position returned).  The
+  /// block must have room (reserve_readers).
+  std::uint32_t insert_reader(std::size_t slot, ThreadId thread, double bytes);
 
-  /// Pool node for a new list head, reusing the free list when possible.
-  std::int32_t alloc_reader(ThreadId thread, double bytes, std::int32_t next);
+  /// Makes room for `want` readers at `slot`: a block with fewer cells
+  /// moves to one of min(max(want, 2 * cap), threads()) cells — exactly
+  /// `want` for an object's first block.  The held readers are copied in
+  /// order, so positions stay valid; the old block goes to its free chain.
+  void reserve_readers(std::size_t slot, std::uint32_t want);
+  /// Offset of a free block of exactly `cap` cells: popped from that
+  /// capacity's free chain, else appended to the reader arrays.
+  std::uint32_t take_block(std::uint32_t cap);
+  /// Pushes `block` onto the free chain for its capacity.
+  void free_block(const Block& block);
 
   std::uint32_t threads_;
   bool weighted_;
   ObjectSlotMap slots_;
   ArenaScratch scratch_;                  ///< reused by add()'s reorganize
   std::vector<ObjectId> touched_;         ///< slot -> object id
-  std::vector<std::int32_t> heads_;       ///< slot -> first Reader index (kNone = empty)
+  std::vector<Block> blocks_;             ///< slot -> reader block
   std::vector<std::uint32_t> last_touch_; ///< slot -> retention epoch last folded
   std::vector<std::uint32_t> decay_epoch_;///< slot -> epoch last decayed
-  std::vector<Reader> pool_;
-  /// Thread -> pool index of that thread's node on the object add_readers is
-  /// folding, valid where where_stamp_ holds the current stamp (no clearing
-  /// between objects).
-  std::vector<std::int32_t> where_;
+  /// Every object's readers, split by field: block b's thread ids and byte
+  /// values sit at the same cells of the two arrays.
+  std::vector<ThreadId> reader_thread_;
+  std::vector<double> reader_bytes_;
+  /// Capacity -> offset of the first free block of that capacity (kNone =
+  /// none).  A free block's first thread cell holds the next offset.
+  std::vector<std::uint32_t> free_blocks_;
+  /// Thread -> position of that thread's reader in the block add_readers is
+  /// folding (kNone = not held yet), valid where where_stamp_ holds the
+  /// current stamp (no clearing between objects).  Positions survive a
+  /// block move.
+  std::vector<std::uint32_t> where_;
   std::vector<std::uint64_t> where_stamp_;
   std::uint64_t stamp_ = 0;
   UpperTriangle pairs_;
-  std::int32_t free_head_ = kNone;        ///< freed pool nodes, chained via next
   std::size_t live_readers_ = 0;
   std::uint32_t epoch_ = 0;               ///< retention clock
 };

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <string>
 
 #include "common/rng.hpp"
@@ -217,6 +218,208 @@ TEST(TcmAccumulator, MaxCombiningNeverDoubleCounts) {
   again.push_back(rec(0, 3, {{7, 0, 30, 1}}));  // below the max: no change
   acc.add(again);
   EXPECT_DOUBLE_EQ(acc.dense().at(0, 1), 70.0);
+}
+
+// --- reader block layout ------------------------------------------------------
+
+using Readers = std::vector<std::pair<ThreadId, double>>;
+
+/// Feeds the same add_readers calls to an accumulator as given (`acc`) and
+/// one reader per call (`one_by_one`, the add_one path), and keeps every
+/// reader as a one-entry record (gap 1, integer bytes) for build_reference.
+/// Retention passes run on both accumulators and drop the same objects'
+/// records from the model.
+class BlockHarness {
+ public:
+  explicit BlockHarness(std::uint32_t threads)
+      : acc(threads), one_by_one(threads), threads_(threads) {}
+
+  void add(ObjectId obj, const Readers& readers) {
+    acc.add_readers(obj, readers);
+    for (const auto& r : readers) {
+      one_by_one.add_readers(obj, {&r, 1});
+      live_[obj].push_back(
+          rec(r.first, next_interval_++,
+              {{obj, 0, static_cast<std::uint32_t>(r.second), 1}}));
+      if (r.first < threads_) last_touch_[obj] = acc.epoch();
+    }
+  }
+
+  /// advance_epoch + drop-only compact on both sides and in the model.
+  void retire(std::uint32_t idle_epochs) {
+    acc.advance_epoch();
+    one_by_one.advance_epoch();
+    acc.compact(idle_epochs, 0.0);
+    one_by_one.compact(idle_epochs, 0.0);
+    for (auto it = last_touch_.begin(); it != last_touch_.end();) {
+      if (acc.epoch() - it->second >= idle_epochs) {
+        live_.erase(it->first);
+        it = last_touch_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  void reset() {
+    acc.reset();
+    one_by_one.reset();
+    live_.clear();
+    last_touch_.clear();
+  }
+
+  /// Pairs bit-identical to the one-reader-at-a-time fold, and equal to
+  /// build_reference over the live records within 1e-9.
+  void expect_matches(const std::string& what) const {
+    const SquareMatrix got = acc.dense();
+    const SquareMatrix one = one_by_one.dense();
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      for (std::size_t j = 0; j < got.size(); ++j) {
+        const double a = got.at(i, j);
+        const double b = one.at(i, j);
+        differing += std::memcmp(&a, &b, sizeof(double)) != 0;
+      }
+    }
+    EXPECT_EQ(differing, 0u) << what << ": not bit-identical to add_one";
+    std::vector<IntervalRecord> kept;
+    std::size_t readers = 0;
+    for (const auto& [obj, records] : live_) {
+      kept.insert(kept.end(), records.begin(), records.end());
+      std::vector<bool> seen(threads_, false);
+      for (const IntervalRecord& r : records) {
+        if (r.thread < threads_ && !seen[r.thread]) {
+          seen[r.thread] = true;
+          ++readers;
+        }
+      }
+    }
+    expect_maps_equal(got, TcmBuilder::build_reference(kept, threads_),
+                      what.c_str());
+    EXPECT_EQ(acc.reader_entries(), readers) << what;
+    EXPECT_EQ(one_by_one.reader_entries(), readers) << what;
+  }
+
+  TcmAccumulator acc;
+  TcmAccumulator one_by_one;
+
+ private:
+  std::uint32_t threads_;
+  IntervalId next_interval_ = 0;
+  std::map<ObjectId, std::vector<IntervalRecord>> live_;
+  std::map<ObjectId, std::uint32_t> last_touch_;
+};
+
+TEST(TcmBlocks, AddOneGrowsPastCapacitiesWhileBlocksMove) {
+  // Object 1 takes one reader per call through capacities 1, 2, 4, ... 48;
+  // objects 2 and 3 take theirs in between, so every growth of one block
+  // lands behind the others' and the freed blocks get reused.  Raises after
+  // the moves must find each reader at its copied position.
+  constexpr std::uint32_t kThreads = 48;
+  BlockHarness h(kThreads);
+  for (ThreadId t = 0; t < kThreads; ++t) {
+    h.add(1, {{t, 10.0 + t}});
+    h.add(2, {{kThreads - 1 - t, 5.0 + 2.0 * t}});
+    if (t % 3 == 0) h.add(3, {{t, 7.0}});
+    if ((t & (t + 1)) == 0) h.expect_matches("after growth to " +
+                                             std::to_string(t + 1));
+  }
+  for (ThreadId t = 0; t < kThreads; t += 5) {
+    h.add(1, {{t, 1000.0 - t}});
+    h.add(2, {{t, 3.0}});  // below its max: no change
+    h.add(3, {{t, 500.0}});
+  }
+  h.expect_matches("raises after the moves");
+}
+
+TEST(TcmBlocks, AddReadersMixesHeldAndNewReadersAndGrows) {
+  constexpr std::uint32_t kThreads = 40;
+  BlockHarness h(kThreads);
+  h.add(1, {{0, 10.0}, {1, 20.0}, {2, 30.0}});
+  h.add(2, {{3, 4.0}, {4, 8.0}});  // object 2's block sits behind object 1's
+  h.expect_matches("exact first blocks");
+  // Raises, a no-op re-log, two new readers (one listed twice), and a thread
+  // past the dimension: the block grows once, to hold five.
+  h.add(1, {{1, 25.0}, {5, 7.0}, {2, 10.0}, {kThreads + 3, 99.0},
+            {9, 40.0}, {0, 50.0}, {5, 9.0}});
+  h.expect_matches("mixed held and new readers");
+  Readers many;
+  for (ThreadId t = 0; t < kThreads; t += 2) many.push_back({t, 3.0 * t + 1});
+  h.add(1, many);
+  h.add(2, many);
+  h.expect_matches("growth past double the capacity");
+  Readers all;
+  for (ThreadId t = kThreads; t-- > 0;) all.push_back({t, 100.0 + t});
+  h.add(1, all);
+  h.add(4, all);
+  h.expect_matches("every thread");
+}
+
+TEST(TcmBlocks, CompactDropRefillReusesFreedBlocks) {
+  // Each cycle refills a fresh set of objects shaped like the last one and
+  // re-logs one hot object; the compact drops the set two cycles old.  The
+  // refill takes the freed blocks off their free chains, so the payload
+  // stops growing once two sets are live.
+  constexpr std::uint32_t kThreads = 24;
+  BlockHarness h(kThreads);
+  std::size_t settled = 0;
+  std::size_t settled_one = 0;
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    const auto base = static_cast<ObjectId>(100 + 50 * cycle);
+    for (ObjectId k = 0; k < 30; ++k) {
+      Readers readers;
+      for (ThreadId t = 0; t <= (k * 7) % kThreads; ++t) {
+        readers.push_back({(t + static_cast<ThreadId>(k)) % kThreads,
+                           1.0 + static_cast<double>((t * 13 + k) % 50)});
+      }
+      if (k % 4 == 0) {
+        for (const auto& r : readers) h.add(base + k, {r});
+      } else {
+        h.add(base + k, readers);
+      }
+    }
+    h.add(0, {{0, 10.0 + cycle}, {5, 20.0}});
+    h.retire(/*idle_epochs=*/2);
+    h.expect_matches("cycle " + std::to_string(cycle));
+    if (cycle == 2) {
+      settled = h.acc.memory_bytes();
+      settled_one = h.one_by_one.memory_bytes();
+    } else if (cycle > 2) {
+      EXPECT_EQ(h.acc.memory_bytes(), settled) << "cycle " << cycle;
+      EXPECT_EQ(h.one_by_one.memory_bytes(), settled_one) << "cycle " << cycle;
+    }
+  }
+  EXPECT_GT(settled, 0u);
+}
+
+TEST(TcmBlocks, ResetThenRefill) {
+  // A reset must forget the free chains along with the blocks: the refill
+  // starts from empty reader arrays and, shaped like the first fill, fits in
+  // the allocations the reset kept.
+  constexpr std::uint32_t kThreads = 16;
+  BlockHarness h(kThreads);
+  const auto fill = [&](ObjectId base) {
+    for (ObjectId o = 0; o < 20; ++o) {
+      Readers readers;
+      for (ThreadId t = 0; t < 1 + o % kThreads; ++t) {
+        readers.push_back({(t * 5 + static_cast<ThreadId>(o)) % kThreads,
+                           2.0 + t + static_cast<double>(base)});
+      }
+      h.add(base + o, readers);
+      h.add(base + o, {{static_cast<ThreadId>(o) % kThreads, 100.0}});
+    }
+  };
+  fill(0);
+  const std::size_t filled = h.acc.memory_bytes();
+  h.retire(/*idle_epochs=*/1);  // drops every object onto the free chains
+  h.expect_matches("after the drop");
+  for (ObjectId o = 0; o < 10; ++o) h.add(o, {{1, 4.0}, {2, 6.0}});
+  h.expect_matches("refill from the free chains");
+  h.reset();
+  h.expect_matches("after reset");
+  fill(30);
+  h.expect_matches("refill after reset");
+  EXPECT_EQ(h.acc.memory_bytes(), filled);
 }
 
 // --- UpperTriangle ------------------------------------------------------------
