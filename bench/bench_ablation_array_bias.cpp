@@ -59,7 +59,8 @@ int main() {
     }
     naive_records.push_back(std::move(n));
   }
-  const SquareMatrix naive = TcmBuilder::build(naive_records, cfg.threads, false);
+  const SquareMatrix naive =
+      TcmBuilder::build_reference(naive_records, cfg.threads, false);
 
   TextTable t({"Scheme", "TCM(T1,T2)", "TCM(T2,T3)", "(T2,T3)/(T1,T2) ratio"});
   auto ratio = [](const SquareMatrix& m) {

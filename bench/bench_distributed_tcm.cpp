@@ -53,9 +53,22 @@ int main() {
   std::cout << records.size() << " interval records, " << entries << " entries ("
             << raw_oal_bytes / 1024 << " KB raw OAL wire volume)\n\n";
 
+  // The records reach the TCM code as the ingest path delivers them: packed
+  // into arenas, one slice per record.  Packing is not timed.
+  const std::vector<std::unique_ptr<OalArena>> arenas = pack_arenas(records);
+  const std::vector<ArenaSliceRef> slices = slices_of(arenas);
+  std::vector<const OalArena*> logs;
+  for (const auto& a : arenas) logs.push_back(a.get());
+
+  // The coordinator reorganizes every slice and accrues the map alone.
   SquareMatrix central, dist;
-  const double t_central =
-      time_seconds([&] { central = TcmBuilder::build(records, cfg.threads, true); });
+  const double t_central = time_seconds([&] {
+    ArenaScratch scratch;
+    central = TcmBuilder::accrue_sparse(
+                  TcmBuilder::reorganize_arena(slices, true, scratch),
+                  cfg.threads)
+                  .densify();
+  });
 
   TextTable t({"Scheme", "Coordinator time (ms)", "Reduction traffic (KB)",
                "ABS distance to centralized"});
@@ -66,11 +79,13 @@ int main() {
   // accrual phases land on the coordinator.
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
     Network net(cfg.costs);
-    auto partials = DistributedTcmReducer::local_reduce(records, true);
+    ArenaScratch scratch;
+    auto partials = DistributedTcmReducer::local_reduce(logs, true, scratch);
     NodePartial merged;
     const double dt = time_seconds([&] {
-      merged = DistributedTcmReducer::tree_reduce(std::move(partials), &net);
-      dist = DistributedTcmReducer::accrue_parallel(merged.summaries, cfg.threads,
+      merged = DistributedTcmReducer::tree_reduce(std::move(partials), &net,
+                                                  scratch);
+      dist = DistributedTcmReducer::accrue_parallel(merged.arena, cfg.threads,
                                                     workers);
     });
     t.add_row({"Tree-reduce, " + std::to_string(workers) + " shard(s)",

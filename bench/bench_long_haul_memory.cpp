@@ -68,8 +68,11 @@ struct PhaseResult {
 PhaseResult run_phase(bool retention) {
   PhaseResult out;
   TcmAccumulator acc(kThreads);
+  ArenaScratch scratch;
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
-    acc.add(epoch_batch(epoch));
+    const auto arenas = pack_arenas(epoch_batch(epoch));
+    acc.add(TcmBuilder::reorganize_arena(slices_of(arenas), /*weighted=*/true,
+                                         scratch));
     if (retention) {
       acc.advance_epoch();
       acc.compact(kIdleEpochs, kDecay);

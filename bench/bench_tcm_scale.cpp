@@ -6,7 +6,8 @@
 // CorrelationDaemon::build_full feeds the balancer).  The dense-from-scratch
 // pipeline (`TcmBuilder::build_reference`, the seed's hash-map reorganize +
 // dense accrual) re-accrues the entire run-so-far on every delivery; the
-// incremental pipeline folds just the new batch into a persistent
+// incremental pipeline reorganizes just the new batch (packed into an ingest
+// arena before the clock starts) into a CSR, folds it into a persistent
 // TcmAccumulator and densifies on demand.  Both sides produce the same map
 // after every batch (checked to 1e-9); only the work to get there differs.
 //
@@ -19,12 +20,13 @@
 // fixed 4096-entry OalArenas (the ingest hand-off unit).  The per-batch
 // dense rebuild protocol is deliberately not run there (it is the very
 // O(run-so-far) wall the sweep above already prices); instead the phase
-// gates that both arena consumers — the incremental fold
-// (TcmAccumulator::add(OalArena)) and the one-shot CSR pipeline
-// (DistributedTcmReducer::build) — match one final build_reference to 1e-9.
-// It also gates their ratio: the incremental fold may take at most 2.5x the
-// one-shot CSR pipeline's time in the same run, a bound that holds on any
-// host where the absolute seconds drift with its speed.
+// gates that both arena consumers — the incremental fold (one
+// TcmBuilder::reorganize_arena per arena into TcmAccumulator::add) and the
+// one-shot CSR pipeline (DistributedTcmReducer::build) — match one final
+// build_reference to 1e-9.  It also gates their ratio: the incremental fold
+// may take at most 2.5x the one-shot CSR pipeline's time in the same run, a
+// bound that holds on any host where the absolute seconds drift with its
+// speed.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -109,14 +111,22 @@ PointResult run_point(const SweepPoint& p) {
     out.dense_seconds = seconds_since(t0);
   }
 
-  // Incremental-sparse: fold the new batch, densify on demand.  The densify
-  // is part of the measured cost; the equality check is not.
+  // Incremental-sparse: reorganize the new batch, fold it, densify on
+  // demand.  The densify is part of the measured cost; packing the records
+  // into arenas and the equality check are not.
   std::vector<SquareMatrix> incr_maps;
   {
-    TcmAccumulator acc(p.threads, /*weighted=*/true);
-    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::vector<std::unique_ptr<OalArena>>> packed;
+    std::vector<std::vector<ArenaSliceRef>> slices;
     for (const auto& batch : batches) {
-      acc.add(batch);
+      packed.push_back(bench::pack_arenas(batch));
+      slices.push_back(bench::slices_of(packed.back()));
+    }
+    TcmAccumulator acc(p.threads);
+    ArenaScratch scratch;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const auto& batch : slices) {
+      acc.add(TcmBuilder::reorganize_arena(batch, /*weighted=*/true, scratch));
       incr_maps.push_back(acc.dense());
     }
     out.incr_seconds = seconds_since(t0);
@@ -127,33 +137,6 @@ PointResult run_point(const SweepPoint& p) {
         std::max(out.max_rel_error, absolute_error(incr_maps[b], dense_maps[b]));
   }
   return out;
-}
-
-/// Packs records into fixed-capacity arenas exactly the way IngestHub::append
-/// splits a closing interval across them (each slice carries a full header).
-std::vector<std::unique_ptr<OalArena>> pack_arenas(
-    std::span<const IntervalRecord> records, std::uint32_t capacity) {
-  std::vector<std::unique_ptr<OalArena>> arenas;
-  for (const IntervalRecord& r : records) {
-    std::size_t off = 0;
-    while (off < r.entries.size()) {
-      if (arenas.empty() || arenas.back()->entries.size() >= capacity) {
-        arenas.push_back(std::make_unique<OalArena>());
-        arenas.back()->entries.reserve(capacity);
-      }
-      OalArena& a = *arenas.back();
-      const std::size_t take = std::min<std::size_t>(
-          capacity - a.entries.size(), r.entries.size() - off);
-      const auto begin = static_cast<std::uint32_t>(a.entries.size());
-      a.entries.insert(a.entries.end(), r.entries.begin() + off,
-                       r.entries.begin() + off + take);
-      a.intervals.push_back(ArenaInterval{r.thread, r.interval, r.node,
-                                          r.start_pc, r.end_pc, begin,
-                                          static_cast<std::uint32_t>(begin + take)});
-      off += take;
-    }
-  }
-  return arenas;
 }
 
 struct ArenaScaleResult {
@@ -169,19 +152,28 @@ ArenaScaleResult run_arena_scale(const SweepPoint& p) {
   std::vector<std::vector<std::unique_ptr<OalArena>>> packed;
   packed.reserve(batches.size());
   for (const auto& batch : batches) {
-    packed.push_back(pack_arenas(batch, /*capacity=*/4096));
+    packed.push_back(bench::pack_arenas(batch, /*capacity=*/4096));
   }
 
   ArenaScaleResult out;
 
-  // Incremental fold, batch-at-a-time with a fresh map per delivery — the
-  // daemon's steady state, just fed arenas instead of records.
+  // Incremental fold, batch-at-a-time with a fresh map per delivery: each
+  // arena is reorganized into its own CSR and folded in.  Listing the
+  // arenas' slices is not timed.
   SquareMatrix incr;
   {
-    TcmAccumulator acc(p.threads, /*weighted=*/true);
-    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::vector<std::vector<ArenaSliceRef>>> slices;
     for (const auto& batch : packed) {
-      for (const auto& a : batch) acc.add(*a);
+      auto& per_arena = slices.emplace_back();
+      for (const auto& a : batch) per_arena.push_back(bench::slices_of(*a));
+    }
+    TcmAccumulator acc(p.threads);
+    ArenaScratch scratch;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const auto& batch : slices) {
+      for (const auto& arena : batch) {
+        acc.add(TcmBuilder::reorganize_arena(arena, /*weighted=*/true, scratch));
+      }
       incr = acc.dense();
     }
     out.incr_seconds = seconds_since(t0);

@@ -15,7 +15,9 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,6 +31,8 @@
 #include "common/table.hpp"
 #include "core/djvm.hpp"
 #include "profiling/accuracy.hpp"
+#include "profiling/ingest.hpp"
+#include "profiling/tcm.hpp"
 
 namespace djvm::bench {
 
@@ -150,6 +154,59 @@ inline bool rate_degenerates_to_full(const Config& base, const WorkloadFactory& 
     if (djvm.plan().is_sampled(o)) covered += sz;
   }
   return total > 0 && static_cast<double>(covered) / static_cast<double>(total) > 0.99;
+}
+
+/// Packs interval records into ingest arenas of `capacity` entries each,
+/// splitting a closing interval across arenas exactly the way
+/// IngestHub::append does (each slice carries a full header).  At the
+/// default capacity everything lands in one arena, one slice per non-empty
+/// record in record order.  The arenas are heap-allocated so slice
+/// references into them stay valid while the vector grows.
+inline std::vector<std::unique_ptr<OalArena>> pack_arenas(
+    std::span<const IntervalRecord> records,
+    std::uint32_t capacity = std::numeric_limits<std::uint32_t>::max()) {
+  std::vector<std::unique_ptr<OalArena>> arenas;
+  for (const IntervalRecord& r : records) {
+    std::size_t off = 0;
+    while (off < r.entries.size()) {
+      if (arenas.empty() || arenas.back()->entries.size() >= capacity) {
+        arenas.push_back(std::make_unique<OalArena>());
+      }
+      OalArena& a = *arenas.back();
+      const std::size_t take = std::min<std::size_t>(
+          capacity - a.entries.size(), r.entries.size() - off);
+      const auto begin = static_cast<std::uint32_t>(a.entries.size());
+      a.entries.insert(a.entries.end(), r.entries.begin() + off,
+                       r.entries.begin() + off + take);
+      a.intervals.push_back(ArenaInterval{r.thread, r.interval, r.node,
+                                          r.start_pc, r.end_pc, begin,
+                                          static_cast<std::uint32_t>(begin + take)});
+      off += take;
+    }
+  }
+  return arenas;
+}
+
+/// Every interval slice of one arena, in order — the input
+/// TcmBuilder::reorganize_arena takes.
+inline std::vector<ArenaSliceRef> slices_of(const OalArena& arena) {
+  std::vector<ArenaSliceRef> slices;
+  for (std::uint32_t s = 0; s < arena.intervals.size(); ++s) {
+    slices.push_back(ArenaSliceRef{&arena, s});
+  }
+  return slices;
+}
+
+/// Every interval slice of the arenas, in order.
+inline std::vector<ArenaSliceRef> slices_of(
+    const std::vector<std::unique_ptr<OalArena>>& arenas) {
+  std::vector<ArenaSliceRef> slices;
+  for (const auto& a : arenas) {
+    for (std::uint32_t s = 0; s < a->intervals.size(); ++s) {
+      slices.push_back(ArenaSliceRef{a.get(), s});
+    }
+  }
+  return slices;
 }
 
 /// Milliseconds with two decimals.

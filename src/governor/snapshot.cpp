@@ -493,7 +493,9 @@ struct SnapshotAccess {
     if (n != 0 && (n > r.remaining() / sizeof(double) / n)) return false;
     SquareMatrix m(static_cast<std::size_t>(n));
     for (double& v : m.raw()) {
-      if (!r.get(v)) return false;
+      // A NaN or infinite cell would poison every distance the governor
+      // computes against this map: corruption, reject.
+      if (!r.get(v) || !std::isfinite(v)) return false;
     }
     if (!r.exhausted()) return false;
 

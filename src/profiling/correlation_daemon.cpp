@@ -17,7 +17,7 @@ CorrelationDaemon::CorrelationDaemon(SamplingPlan& plan, std::uint32_t threads)
     : plan_(plan),
       threads_(threads),
       governor_(plan),
-      full_(threads, /*weighted=*/true),
+      full_(threads),
       latest_(threads) {}
 
 void CorrelationDaemon::sanitize_arena(OalArena& arena) const {

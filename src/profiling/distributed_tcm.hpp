@@ -3,26 +3,19 @@
 // a more scalable way", Section VI).
 //
 // Instead of shipping every OAL to one coordinator that does the whole
-// O(MN^2) accrual, each node reduces its *local* interval records into
-// per-object partial summaries; the summaries are then merged pairwise up a
-// reduction tree (like an MPI_Reduce over a custom monoid) and the pair
-// accrual runs once over the merged summaries — optionally sharded across
-// worker threads, since distinct objects contribute independent updates.
+// O(MN^2) accrual, each node reduces its *local* arena slices into a
+// per-node partial; the partials are then merged pairwise up a reduction
+// tree (like an MPI_Reduce over a custom monoid) and the pair accrual runs
+// once over the merged partial — optionally sharded across worker threads,
+// since distinct objects contribute independent updates.
 //
-// The result is bit-identical to the centralized TcmBuilder (tests assert
-// this); what changes is where the work happens and how it scales.
-//
-// Two partial representations coexist:
-//
-//  * `NodePartial` — the original per-object `vector<pair>` summaries behind
-//    a hash map.  Every reduction level re-hashes and re-scans reader
-//    vectors; kept verbatim as the equivalence oracle.
-//  * `NodeCsrPartial` — the same monoid carried as a flat CSR `ReaderArena`
-//    end-to-end: local reduce bucket-sorts records (or drained ingest
-//    arenas) straight into per-node CSR partials, and every level of the
-//    reduction tree merges CSR-to-CSR through the same bucket-sort
-//    machinery — no level re-hashes, no per-object vectors anywhere.
-//    `build()` routes through this pipeline.
+// A partial is a flat CSR `ReaderArena` carried end to end: local reduce
+// bucket-sorts each node's slices straight into its partial, and every level
+// of the reduction tree merges CSR-to-CSR through the same bucket-sort
+// machinery (`TcmBuilder::merge_arenas`) — no level re-hashes, no per-object
+// vectors anywhere.  The result equals `TcmBuilder::build_reference` over
+// the same entries (tests assert this); what changes is where the work
+// happens and how it scales.
 #pragma once
 
 #include <cstdint>
@@ -35,61 +28,34 @@
 
 namespace djvm {
 
-/// Per-node partial reduction state: per-object (thread, bytes) summaries
-/// built from that node's interval records only.
+/// Per-node partial reduction state in flat CSR form (see ReaderArena), built
+/// from that node's arena slices only.  Byte values inside the arena are
+/// already Horvitz-Thompson weighted when requested.
 struct NodePartial {
-  NodeId node = kInvalidNode;
-  std::vector<ObjectAccessSummary> summaries;
-
-  /// Wire size when shipped up the reduction tree: object id + per-reader
-  /// (thread id, bytes) entries.
-  [[nodiscard]] std::uint64_t wire_bytes() const noexcept;
-};
-
-/// Per-node partial in flat CSR form (see ReaderArena): the representation
-/// the reduction tree carries end-to-end so no level re-hashes.  Byte values
-/// inside the arena are already Horvitz-Thompson weighted when requested.
-struct NodeCsrPartial {
   NodeId node = kInvalidNode;
   ReaderArena arena;
 
-  /// Wire size when shipped up the reduction tree.  Priced identically to
-  /// NodePartial (header + object id + (thread, bytes) reader entries) so
-  /// traffic comparisons between the two pipelines measure representation
-  /// compactness on the wire, not an accounting difference.
+  /// Wire size when shipped up the reduction tree: a 16-byte header, 8
+  /// bytes per object id, 12 bytes per (thread, bytes) reader entry.
   [[nodiscard]] std::uint64_t wire_bytes() const noexcept;
 };
 
 /// Distributed TCM reduction.
 class DistributedTcmReducer {
  public:
-  /// Phase 1: each node reduces its own records.  `records` may contain
-  /// records from many nodes; they are grouped by IntervalRecord::node.
-  [[nodiscard]] static std::vector<NodePartial> local_reduce(
-      std::span<const IntervalRecord> records, bool weighted);
-
-  /// Phase 1, CSR: buckets records per node (no hashing — record pointers
-  /// are grouped by a linear node scan) and reorganizes each bucket straight
-  /// into a CSR partial.  Partials come back sorted by node id.
-  [[nodiscard]] static std::vector<NodeCsrPartial> local_reduce_csr(
-      std::span<const IntervalRecord> records, bool weighted,
-      ArenaScratch& scratch);
-
-  /// Phase 1, CSR, over drained ingest log arenas: interval slices bucket
-  /// per node (one arena may mix slices from many threads and nodes), then
-  /// each bucket reorganizes in place — no IntervalRecord is materialized
+  /// Phase 1, over drained ingest log arenas: interval slices bucket per
+  /// node (one arena may mix slices from many threads and nodes), then each
+  /// bucket reorganizes in place — no IntervalRecord is materialized
   /// anywhere between the producer's append and the per-node partial.
-  [[nodiscard]] static std::vector<NodeCsrPartial> local_reduce_csr(
+  /// Partials come back sorted by node id.
+  [[nodiscard]] static std::vector<NodePartial> local_reduce(
       std::span<const OalArena* const> logs, bool weighted,
       ArenaScratch& scratch);
 
-  /// Merges `b` into `a` (the reduction monoid: per-object reader lists
-  /// union, byte values combined by max — the same rule reorganize() uses
-  /// across intervals).
-  static void merge(NodePartial& a, const NodePartial& b);
-
-  /// Phase 2: binary reduction tree over the partials.  When `net` is given,
-  /// each merge step ships the child partial over the *reliable* transport
+  /// Phase 2: binary reduction tree over the partials; each merge step
+  /// unions the child into its parent with TcmBuilder::merge_arenas (reader
+  /// lists union per object, byte values combined by max).  When `net` is
+  /// given, each step ships the child partial over the *reliable* transport
   /// (retry/backoff per the network's fault plan) and accounts its traffic,
   /// so the distributed scheme can be compared against centralized OAL
   /// shipping.  A child whose exchange exhausts its retries (dead node,
@@ -97,48 +63,22 @@ class DistributedTcmReducer {
   /// then incomplete, not wrong — and its node id is appended to
   /// `lost_nodes` when given.  Returns the fully merged partial.
   [[nodiscard]] static NodePartial tree_reduce(
-      std::vector<NodePartial> partials, Network* net = nullptr,
+      std::vector<NodePartial> partials, Network* net, ArenaScratch& scratch,
       std::vector<NodeId>* lost_nodes = nullptr);
 
-  /// Merges `b` into `a` in CSR form (TcmBuilder::merge_arenas — a bucket
-  /// sort, not a hash probe per object).
-  static void merge_csr(NodeCsrPartial& a, const NodeCsrPartial& b,
-                        ArenaScratch& scratch);
-
-  /// Phase 2, CSR: the same binary reduction tree over CSR partials.  Every
-  /// level merges arena-to-arena; `net` accounting, retry semantics, and
-  /// lost-partial reporting match tree_reduce.
-  [[nodiscard]] static NodeCsrPartial tree_reduce_csr(
-      std::vector<NodeCsrPartial> partials, Network* net,
-      ArenaScratch& scratch, std::vector<NodeId>* lost_nodes = nullptr);
-
-  /// Phase 3: pair accrual over merged summaries, sharded over `threads_hw`
-  /// worker threads (1 = sequential).  Shards partition the objects (each
-  /// object's summary appears once), so workers fold into private sparse
-  /// upper-triangular accumulators whose pair arrays simply add at the end —
-  /// no dense N x N matrix per worker, one densify for the final map.
-  [[nodiscard]] static SquareMatrix accrue_parallel(
-      std::span<const ObjectAccessSummary> summaries, std::uint32_t threads,
-      unsigned threads_hw);
-
-  /// Phase 3, CSR: pair accrual over the merged arena.  The CSR offsets give
-  /// natural object shards — workers accrue disjoint object ranges into
-  /// private upper-triangular accumulators that sum at the end.
+  /// Phase 3: pair accrual over the merged arena, sharded over `threads_hw`
+  /// worker threads (1 = sequential; small arenas stay sequential too).  The
+  /// CSR offsets give natural object shards — workers accrue disjoint object
+  /// ranges into private upper-triangular accumulators that sum at the end,
+  /// so no dense N x N matrix per worker and one densify for the final map.
   [[nodiscard]] static SquareMatrix accrue_parallel(const ReaderArena& arena,
                                                     std::uint32_t threads,
                                                     unsigned threads_hw);
 
-  /// Full pipeline, routed through the CSR partials end-to-end:
-  /// local_reduce_csr -> tree_reduce_csr -> (parallel) accrual.
-  /// `lost_nodes` collects nodes whose partials the reduction tree could not
-  /// deliver (see tree_reduce); the returned map omits their contribution.
-  [[nodiscard]] static SquareMatrix build(std::span<const IntervalRecord> records,
-                                          std::uint32_t threads, bool weighted,
-                                          unsigned threads_hw = 1,
-                                          Network* net = nullptr,
-                                          std::vector<NodeId>* lost_nodes = nullptr);
-
-  /// Full CSR pipeline over drained ingest log arenas.
+  /// Full pipeline over drained ingest log arenas:
+  /// local_reduce -> tree_reduce -> (parallel) accrual.  `lost_nodes`
+  /// collects nodes whose partials the reduction tree could not deliver (see
+  /// tree_reduce); the returned map omits their contribution.
   [[nodiscard]] static SquareMatrix build(std::span<const OalArena* const> logs,
                                           std::uint32_t threads, bool weighted,
                                           unsigned threads_hw = 1,

@@ -35,13 +35,6 @@ std::int32_t ObjectSlotMap::get_or_assign(ObjectId obj, bool& fresh) {
   return it->second;
 }
 
-bool ObjectSlotMap::contains(ObjectId obj) const {
-  if (obj < kDirectSlotCap) {
-    return obj < table_.size() && table_[static_cast<std::size_t>(obj)] >= 0;
-  }
-  return spill_.count(obj) != 0;
-}
-
 void ObjectSlotMap::release(std::span<const ObjectId> touched) {
   for (const ObjectId obj : touched) {
     if (obj < kDirectSlotCap) {
@@ -56,7 +49,7 @@ void ObjectSlotMap::release(std::span<const ObjectId> touched) {
 
 namespace {
 
-/// The shared bucket-sort machinery behind every reorganize/merge variant:
+/// The bucket-sort machinery shared by reorganize_arena and merge_arenas:
 /// `for_each` must invoke its argument once per (thread, object, class,
 /// already-scaled bytes) tuple, in any order, any number of times per
 /// (thread, object), and visit the same tuples in the same order when
@@ -140,56 +133,6 @@ ReaderArena reorganize_impl(ArenaScratch& s, ForEach&& for_each) {
 
 }  // namespace
 
-ReaderArena TcmBuilder::reorganize_arena(std::span<const IntervalRecord> records,
-                                         bool weighted) {
-  ArenaScratch scratch;
-  return reorganize_arena(records, weighted, scratch);
-}
-
-ReaderArena TcmBuilder::reorganize_arena(std::span<const IntervalRecord> records,
-                                         bool weighted, ArenaScratch& s) {
-  return reorganize_impl(s, [&](auto&& emit) {
-    for (const IntervalRecord& rec : records) {
-      for (const OalEntry& e : rec.entries) {
-        const double bytes = weighted
-                                 ? static_cast<double>(e.bytes) * e.gap
-                                 : static_cast<double>(e.bytes);
-        emit(rec.thread, e.obj, e.klass, bytes);
-      }
-    }
-  });
-}
-
-ReaderArena TcmBuilder::reorganize_arena(
-    std::span<const IntervalRecord* const> records, bool weighted,
-    ArenaScratch& s) {
-  return reorganize_impl(s, [&](auto&& emit) {
-    for (const IntervalRecord* rec : records) {
-      for (const OalEntry& e : rec->entries) {
-        const double bytes = weighted
-                                 ? static_cast<double>(e.bytes) * e.gap
-                                 : static_cast<double>(e.bytes);
-        emit(rec->thread, e.obj, e.klass, bytes);
-      }
-    }
-  });
-}
-
-ReaderArena TcmBuilder::reorganize_arena(const OalArena& log, bool weighted,
-                                         ArenaScratch& s) {
-  return reorganize_impl(s, [&](auto&& emit) {
-    for (const ArenaInterval& iv : log.intervals) {
-      for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
-        const OalEntry& e = log.entries[i];
-        const double bytes = weighted
-                                 ? static_cast<double>(e.bytes) * e.gap
-                                 : static_cast<double>(e.bytes);
-        emit(iv.thread, e.obj, e.klass, bytes);
-      }
-    }
-  });
-}
-
 ReaderArena TcmBuilder::reorganize_arena(std::span<const ArenaSliceRef> slices,
                                          bool weighted, ArenaScratch& s) {
   return reorganize_impl(s, [&](auto&& emit) {
@@ -221,37 +164,7 @@ ReaderArena TcmBuilder::merge_arenas(const ReaderArena& a, const ReaderArena& b,
   });
 }
 
-std::vector<ObjectAccessSummary> TcmBuilder::reorganize(
-    std::span<const IntervalRecord> records, bool weighted) {
-  const ReaderArena arena = reorganize_arena(records, weighted);
-  std::vector<ObjectAccessSummary> summaries;
-  summaries.reserve(arena.object_count());
-  for (std::size_t k = 0; k < arena.object_count(); ++k) {
-    const auto readers = arena.readers_of(k);
-    summaries.push_back(ObjectAccessSummary{
-        arena.objects[k], {readers.begin(), readers.end()}});
-  }
-  return summaries;
-}
-
 // --- accrual ------------------------------------------------------------------
-
-SquareMatrix TcmBuilder::accrue(std::span<const ObjectAccessSummary> summaries,
-                                std::uint32_t threads) {
-  SquareMatrix tcm(threads);
-  for (const ObjectAccessSummary& s : summaries) {
-    const auto& r = s.readers;
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      for (std::size_t j = i + 1; j < r.size(); ++j) {
-        const double shared = std::min(r[i].second, r[j].second);
-        if (r[i].first < threads && r[j].first < threads) {
-          tcm.add_symmetric(r[i].first, r[j].first, shared);
-        }
-      }
-    }
-  }
-  return tcm;
-}
 
 UpperTriangle TcmBuilder::accrue_sparse(const ReaderArena& arena,
                                         std::uint32_t threads) {
@@ -308,19 +221,18 @@ TcmClassAttribution TcmBuilder::attribute_cells(
   return out;
 }
 
-SquareMatrix TcmBuilder::build(std::span<const IntervalRecord> records,
-                               std::uint32_t threads, bool weighted) {
-  return accrue_sparse(reorganize_arena(records, weighted), threads).densify();
-}
-
 SquareMatrix TcmBuilder::build_reference(std::span<const IntervalRecord> records,
                                          std::uint32_t threads, bool weighted) {
   // The seed's pipeline, preserved verbatim: per-object summaries behind a
   // hash map (one rehash + one linear reader scan per entry, one vector per
-  // object), then dense accrual — the oracle the sparse pipeline is measured
-  // and verified against.
+  // object), then dense accrual — the oracle the CSR path is measured and
+  // verified against.
+  struct ObjectReaders {
+    ObjectId obj = kInvalidObject;
+    std::vector<std::pair<ThreadId, double>> readers;  ///< (thread, max bytes)
+  };
   std::unordered_map<ObjectId, std::size_t> index;
-  std::vector<ObjectAccessSummary> summaries;
+  std::vector<ObjectReaders> summaries;
   index.reserve(1024);
   for (const IntervalRecord& rec : records) {
     for (const OalEntry& e : rec.entries) {
@@ -329,7 +241,7 @@ SquareMatrix TcmBuilder::build_reference(std::span<const IntervalRecord> records
                                : static_cast<double>(e.bytes);
       auto [it, inserted] = index.try_emplace(e.obj, summaries.size());
       if (inserted) {
-        summaries.push_back(ObjectAccessSummary{e.obj, {}});
+        summaries.push_back(ObjectReaders{e.obj, {}});
       }
       auto& readers = summaries[it->second].readers;
       auto rit = std::find_if(readers.begin(), readers.end(),
@@ -341,14 +253,25 @@ SquareMatrix TcmBuilder::build_reference(std::span<const IntervalRecord> records
       }
     }
   }
-  return accrue(summaries, threads);
+  SquareMatrix tcm(threads);
+  for (const ObjectReaders& s : summaries) {
+    const auto& r = s.readers;
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      for (std::size_t j = i + 1; j < r.size(); ++j) {
+        const double shared = std::min(r[i].second, r[j].second);
+        if (r[i].first < threads && r[j].first < threads) {
+          tcm.add_symmetric(r[i].first, r[j].first, shared);
+        }
+      }
+    }
+  }
+  return tcm;
 }
 
 // --- incremental accumulator --------------------------------------------------
 
-TcmAccumulator::TcmAccumulator(std::uint32_t threads, bool weighted)
+TcmAccumulator::TcmAccumulator(std::uint32_t threads)
     : threads_(threads),
-      weighted_(weighted),
       free_blocks_(std::size_t{threads} + 1, kNone),
       where_(threads),
       where_stamp_(threads, 0),
@@ -455,18 +378,6 @@ void TcmAccumulator::add_one(ObjectId obj, ThreadId thread, double bytes) {
   }
   reserve_readers(slot, block.count + 1);
   insert_reader(slot, thread, bytes);
-}
-
-void TcmAccumulator::add(std::span<const IntervalRecord> records) {
-  // Arena-reorganize the batch first: in-batch duplicates collapse under a
-  // stamp check instead of paying a block scan each.  The scratch
-  // persists across folds, so steady-state batches allocate only the
-  // arena's own payload.
-  add(TcmBuilder::reorganize_arena(records, weighted_, scratch_));
-}
-
-void TcmAccumulator::add(const OalArena& log) {
-  add(TcmBuilder::reorganize_arena(log, weighted_, scratch_));
 }
 
 void TcmAccumulator::add(const ReaderArena& arena) {

@@ -7,30 +7,28 @@
 // (Horvitz-Thompson weighting) makes the sampled TCM an unbiased estimate of
 // the full-sampling map, so the paper's error metrics compare like with like.
 //
-// Two pipelines share the same semantics:
+// There is one construction path, over ingest arena slices:
 //
-//  * `TcmBuilder::build_reference` — the textbook O(MN^2)-style pipeline the
-//    seed shipped: a hash map from object id to a per-object `vector<pair>`
-//    of readers (one rehash + one linear reader scan per entry), then a
-//    dense accrual into a fresh SquareMatrix.  Kept verbatim as the oracle
-//    for equivalence tests and as the "dense from scratch" side of
-//    `bench_tcm_scale`.
-//  * the CSR pipeline — `reorganize_arena` bucket-sorts a batch's entries
-//    into one contiguous CSR arena (no per-object vectors, no hashing while
-//    object ids stay compact).  One epoch's arena answers everything the
-//    epoch tick asks: `accrue_sparse` gives the window's pair weights in a
-//    flat upper-triangular accumulator (densified once), `attribute_cells`
-//    splits the same pairs by owning class, and `TcmAccumulator::add` folds
-//    the arena into persistent whole-run state (each object's readers in one
+//  * `reorganize_arena` bucket-sorts the slices' entries into one contiguous
+//    CSR arena (no per-object vectors, no hashing while object ids stay
+//    compact).  One epoch's arena answers everything the epoch tick asks:
+//    `accrue_sparse` gives the window's pair weights in a flat
+//    upper-triangular accumulator (densified once), `attribute_cells` splits
+//    the same pairs by owning class, and `TcmAccumulator::add` folds the
+//    arena into persistent whole-run state (each object's readers in one
 //    contiguous block of two split thread/bytes arrays).  That fold costs
 //    O(sum over objects of readers^2) for *new* information only — a
 //    re-logged entry that does not raise a reader's byte value costs no pair
 //    updates, and on an object receiving several readers just one
-//    thread-indexed table lookup.
+//    thread-indexed table lookup.  `merge_arenas` unions two arenas (the
+//    distributed reducer's tree step, profiling/distributed_tcm.hpp).
 //
-// `TcmBuilder::build` routes through the CSR pipeline; tests assert the two
-// pipelines agree within 1e-9 (bit-exact in practice, since byte weights are
-// integer-valued doubles).
+// `TcmBuilder::build_reference` is the oracle: the seed's textbook
+// O(MN^2)-style pipeline over interval records (a hash map from object id to
+// a per-object reader vector, then a dense accrual).  Tests assert the CSR
+// path agrees with it within 1e-9 (bit-exact in practice, since byte weights
+// are integer-valued doubles), and `bench_tcm_scale` prices it as the
+// "dense from scratch" side.
 #pragma once
 
 #include <cstdint>
@@ -52,14 +50,6 @@ struct OalArena;  // profiling/ingest.hpp
 struct ArenaSliceRef {
   const OalArena* log = nullptr;
   std::uint32_t slice = 0;  ///< index into OalArena::intervals
-};
-
-/// Per-object access summary produced by OAL reorganization.
-struct ObjectAccessSummary {
-  ObjectId obj = kInvalidObject;
-  /// (thread, weighted bytes) — byte value is the maximum over the window's
-  /// intervals, Horvitz-Thompson scaled when `weighted` was requested.
-  std::vector<std::pair<ThreadId, double>> readers;
 };
 
 /// One batch of OAL entries reorganized into a flat CSR arena: object k's
@@ -90,8 +80,6 @@ class ObjectSlotMap {
   /// Slot of `obj`, assigning the next dense slot on first sight (`fresh`
   /// reports which).
   std::int32_t get_or_assign(ObjectId obj, bool& fresh);
-  /// True when `obj` already holds a slot.
-  [[nodiscard]] bool contains(ObjectId obj) const;
   [[nodiscard]] std::int32_t count() const noexcept { return count_; }
   /// Forgets the listed objects' slots in O(listed) (callers track their
   /// touched set; the direct table keeps its allocation).
@@ -160,34 +148,14 @@ struct TcmClassAttribution {
   }
 };
 
-/// Builds TCMs out of interval records.
+/// Builds TCMs out of ingest arena slices (and, as the oracle, out of
+/// interval records).
 class TcmBuilder {
  public:
-  /// Step 1: reorganize per-thread interval records into the flat CSR arena
-  /// (bucket sort, no per-object allocations).
-  [[nodiscard]] static ReaderArena reorganize_arena(
-      std::span<const IntervalRecord> records, bool weighted);
-
-  /// Scratch-reusing variant (the accumulator's per-batch fold path).
-  [[nodiscard]] static ReaderArena reorganize_arena(
-      std::span<const IntervalRecord> records, bool weighted,
-      ArenaScratch& scratch);
-
-  /// Reorganize over non-contiguous records (the distributed reducer's
-  /// per-node buckets reference records in place instead of copying them).
-  [[nodiscard]] static ReaderArena reorganize_arena(
-      std::span<const IntervalRecord* const> records, bool weighted,
-      ArenaScratch& scratch);
-
-  /// Same reorganize over one ingest log arena (see profiling/ingest.hpp):
-  /// the drained-ring fold path.  The log's interval slices provide the
-  /// logging thread per entry range; no IntervalRecord is ever materialized.
-  [[nodiscard]] static ReaderArena reorganize_arena(const OalArena& log,
-                                                   bool weighted,
-                                                   ArenaScratch& scratch);
-
-  /// Reorganize over individual arena slices (the distributed reducer's
-  /// per-node buckets of drained arenas).
+  /// Reorganizes ingest arena slices into the flat CSR arena (bucket sort,
+  /// no per-object allocations).  Each slice provides the logging thread for
+  /// its entry range; byte values are Horvitz-Thompson scaled when
+  /// `weighted`.
   [[nodiscard]] static ReaderArena reorganize_arena(
       std::span<const ArenaSliceRef> slices, bool weighted,
       ArenaScratch& scratch);
@@ -201,18 +169,9 @@ class TcmBuilder {
                                                 const ReaderArena& b,
                                                 ArenaScratch& scratch);
 
-  /// Compatibility shim over `reorganize_arena` returning the per-object
-  /// summary form the distributed reducer's NodePartial monoid speaks.
-  [[nodiscard]] static std::vector<ObjectAccessSummary> reorganize(
-      std::span<const IntervalRecord> records, bool weighted);
-
-  /// Step 2 (reference): accrue shared bytes per thread pair from summaries
-  /// into a dense matrix.  Cell (i, j) accumulates min(bytes_i, bytes_j) per
-  /// object shared by threads i and j.
-  [[nodiscard]] static SquareMatrix accrue(
-      std::span<const ObjectAccessSummary> summaries, std::uint32_t threads);
-
-  /// Step 2 (sparse): accrue an arena into an upper-triangular accumulator.
+  /// Accrues an arena into an upper-triangular accumulator: cell (i, j)
+  /// gains min(bytes_i, bytes_j) per object shared by threads i and j.
+  /// Readers at or beyond `threads` are skipped.
   [[nodiscard]] static UpperTriangle accrue_sparse(const ReaderArena& arena,
                                                    std::uint32_t threads);
 
@@ -229,13 +188,9 @@ class TcmBuilder {
       const ReaderArena& arena, std::uint32_t threads,
       std::span<const NodeId> node_of_thread);
 
-  /// Convenience: reorganize + accrue via the sparse pipeline.
-  [[nodiscard]] static SquareMatrix build(std::span<const IntervalRecord> records,
-                                          std::uint32_t threads,
-                                          bool weighted = true);
-
-  /// The seed's textbook pipeline (hash-map reorganize + dense accrual),
-  /// kept as the equivalence oracle and bench baseline.
+  /// The seed's textbook pipeline over interval records (hash-map
+  /// reorganize + dense accrual), kept as the equivalence oracle and bench
+  /// baseline.
   [[nodiscard]] static SquareMatrix build_reference(
       std::span<const IntervalRecord> records, std::uint32_t threads,
       bool weighted = true);
@@ -248,12 +203,12 @@ struct TcmCompactStats {
   std::size_t freed_readers = 0;    ///< reader cells returned to the free chains
 };
 
-/// Persistent incremental sparse TCM accumulator: fold batches in as deltas
-/// (`add`) and densify on demand.  The
-/// invariant maintained per object o and thread pair {i, j} is
-/// pair(i, j) == min(bytes_i(o), bytes_j(o)) summed over objects, so folding
-/// batches one at a time, in any split, yields exactly the map a from-scratch
-/// build over the concatenated batches produces.
+/// Persistent incremental sparse TCM accumulator: fold CSR arenas in as
+/// deltas (`add`) and densify on demand.  The invariant maintained per
+/// object o and thread pair {i, j} is pair(i, j) == min(bytes_i(o),
+/// bytes_j(o)) summed over objects, so folding batches one at a time, in any
+/// split, yields exactly the map a from-scratch build over the concatenated
+/// batches produces.
 ///
 /// Long-haul retention: a whole-run accumulator grows with every object the
 /// workload ever touches, which is unbounded on a server that runs for
@@ -269,16 +224,7 @@ struct TcmCompactStats {
 /// stays bit-for-bit the map a from-scratch build over their records yields.
 class TcmAccumulator {
  public:
-  explicit TcmAccumulator(std::uint32_t threads, bool weighted = true);
-
-  /// Folds one batch of records in as a delta (arena-reorganized first, so
-  /// in-batch duplicates cost one stamp check, not a block scan).
-  void add(std::span<const IntervalRecord> records);
-
-  /// Folds one drained ingest log arena in as a delta — identical semantics
-  /// to add(records) over the records the arena's slices describe, with no
-  /// per-interval vectors in between.
-  void add(const OalArena& log);
+  explicit TcmAccumulator(std::uint32_t threads);
 
   /// Folds an already-reorganized CSR arena in (the daemon's once-per-epoch
   /// whole-run merge; byte values are already weighted).
@@ -322,7 +268,6 @@ class TcmAccumulator {
   [[nodiscard]] SquareMatrix dense() const { return pairs_.densify(); }
 
   [[nodiscard]] std::uint32_t threads() const noexcept { return threads_; }
-  [[nodiscard]] bool weighted() const noexcept { return weighted_; }
   /// Objects with at least one folded reader.
   [[nodiscard]] std::size_t objects_tracked() const noexcept {
     return touched_.size();
@@ -370,9 +315,7 @@ class TcmAccumulator {
   void free_block(const Block& block);
 
   std::uint32_t threads_;
-  bool weighted_;
   ObjectSlotMap slots_;
-  ArenaScratch scratch_;                  ///< reused by add()'s reorganize
   std::vector<ObjectId> touched_;         ///< slot -> object id
   std::vector<Block> blocks_;             ///< slot -> reader block
   std::vector<std::uint32_t> last_touch_; ///< slot -> retention epoch last folded

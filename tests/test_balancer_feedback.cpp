@@ -23,7 +23,7 @@ IntervalRecord record(ThreadId thread, NodeId node,
 
 /// One epoch's CSR over `records` (HT-weighted, as the daemon folds them).
 ReaderArena csr(const std::vector<IntervalRecord>& records) {
-  return TcmBuilder::reorganize_arena(records, /*weighted=*/true);
+  return csr_of(records, /*weighted=*/true);
 }
 
 TEST(TcmClassAttribution, SplitsPairMassByClassAgainstPlacement) {

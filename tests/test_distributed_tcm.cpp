@@ -1,14 +1,18 @@
-// Distributed TCM reduction: equivalence with the centralized builder,
+// Distributed TCM reduction: equivalence with the build_reference oracle,
 // merge-monoid properties, traffic accounting, and parallel accrual.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <span>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "profiling/accuracy.hpp"
 #include "profiling/distributed_tcm.hpp"
 #include "profiling/ingest.hpp"
+
+#include "ingest_helpers.hpp"
 
 namespace djvm {
 namespace {
@@ -45,48 +49,108 @@ std::vector<IntervalRecord> random_records(std::uint64_t seed, std::uint32_t thr
   return out;
 }
 
+/// The records logged on `node`.
+std::vector<IntervalRecord> records_on(std::span<const IntervalRecord> records,
+                                       NodeId node) {
+  std::vector<IntervalRecord> out;
+  for (const IntervalRecord& r : records) {
+    if (r.node == node) out.push_back(r);
+  }
+  return out;
+}
+
+/// NodePartial::wire_bytes of a partial holding exactly `records`: a 16-byte
+/// header, 8 bytes per distinct object, 12 bytes per distinct (object,
+/// thread) reader.
+std::uint64_t partial_wire_bytes(std::span<const IntervalRecord> records) {
+  std::set<ObjectId> objects;
+  std::set<std::pair<ObjectId, ThreadId>> readers;
+  for (const IntervalRecord& r : records) {
+    for (const OalEntry& e : r.entries) {
+      objects.insert(e.obj);
+      readers.insert({e.obj, r.thread});
+    }
+  }
+  return 16 + 8 * objects.size() + 12 * readers.size();
+}
+
+/// kOal bytes the reduction tree must bill over partials sorted by node id:
+/// partial i + stride ships into partial i each round, and every message
+/// prices the child's accumulated records plus one message header.
+std::uint64_t expected_tree_traffic(std::span<const IntervalRecord> records) {
+  std::set<NodeId> nodes;
+  for (const IntervalRecord& r : records) nodes.insert(r.node);
+  std::vector<std::vector<IntervalRecord>> held;
+  for (const NodeId n : nodes) held.push_back(records_on(records, n));
+  std::uint64_t bytes = 0;
+  for (std::size_t stride = 1; stride < held.size(); stride *= 2) {
+    for (std::size_t i = 0; i + stride < held.size(); i += 2 * stride) {
+      bytes += partial_wire_bytes(held[i + stride]) + kMessageHeaderBytes;
+      held[i].insert(held[i].end(), held[i + stride].begin(),
+                     held[i + stride].end());
+    }
+  }
+  return bytes;
+}
+
 TEST(DistributedTcm, EmptyInput) {
   const SquareMatrix tcm =
-      DistributedTcmReducer::build(std::span<const IntervalRecord>{}, 4, true);
+      DistributedTcmReducer::build(std::span<const OalArena* const>{}, 4, true);
   EXPECT_DOUBLE_EQ(tcm.total(), 0.0);
 }
 
 TEST(DistributedTcm, LocalReduceGroupsByNode) {
   std::vector<IntervalRecord> rs;
-  rs.push_back(rec(0, 0, {{1, 0, 10, 1}}));
-  rs.push_back(rec(1, 1, {{1, 0, 10, 1}}));
-  rs.push_back(rec(2, 0, {{2, 0, 10, 1}}));
-  const auto partials = DistributedTcmReducer::local_reduce(rs, false);
+  rs.push_back(rec(0, 1, {{1, 0, 10, 1}}));
+  rs.push_back(rec(1, 0, {{1, 0, 10, 1}}));
+  rs.push_back(rec(2, 1, {{2, 0, 10, 1}}));
+  const std::vector<OalArena> arenas = pack_arenas(rs);
+  ArenaScratch scratch;
+  const auto partials =
+      DistributedTcmReducer::local_reduce(log_ptrs(arenas), false, scratch);
   ASSERT_EQ(partials.size(), 2u);
-  EXPECT_EQ(partials[0].node, 0);
+  EXPECT_EQ(partials[0].node, 0);  // sorted by node id
   EXPECT_EQ(partials[1].node, 1);
-  EXPECT_EQ(partials[0].summaries.size(), 2u);  // objects 1 and 2
-  EXPECT_EQ(partials[1].summaries.size(), 1u);
+  EXPECT_EQ(partials[0].arena.object_count(), 1u);
+  EXPECT_EQ(partials[1].arena.object_count(), 2u);  // objects 1 and 2
 }
 
 TEST(DistributedTcm, MergeUnionsReadersWithMax) {
-  NodePartial a;
-  a.node = 0;
-  a.summaries.push_back({7, {{0, 100.0}}});
-  NodePartial b;
-  b.node = 1;
-  b.summaries.push_back({7, {{0, 40.0}, {1, 60.0}}});
-  b.summaries.push_back({8, {{2, 30.0}}});
-  DistributedTcmReducer::merge(a, b);
-  ASSERT_EQ(a.summaries.size(), 2u);
-  const auto& readers = a.summaries[0].readers;
+  // Node 0 holds thread 0 on object 7 at 100 bytes; node 1 re-logs thread 0
+  // at 40, adds thread 1 at 60, and object 8 read by thread 2 alone.
+  std::vector<IntervalRecord> rs;
+  rs.push_back(rec(0, 0, {{7, 0, 100, 1}}));
+  rs.push_back(rec(0, 1, {{7, 0, 40, 1}}));
+  rs.push_back(rec(1, 1, {{7, 0, 60, 1}}));
+  rs.push_back(rec(2, 1, {{8, 0, 30, 1}}));
+  const std::vector<OalArena> arenas = pack_arenas(rs);
+  ArenaScratch scratch;
+  const NodePartial merged = DistributedTcmReducer::tree_reduce(
+      DistributedTcmReducer::local_reduce(log_ptrs(arenas), false, scratch),
+      nullptr, scratch);
+  const ReaderArena& m = merged.arena;
+  ASSERT_EQ(m.object_count(), 2u);  // objects 7 and 8
+  ASSERT_EQ(m.objects[0], 7u);
+  const auto readers = m.readers_of(0);
   ASSERT_EQ(readers.size(), 2u);
-  EXPECT_DOUBLE_EQ(readers[0].second, 100.0);  // max(100, 40)
-  EXPECT_DOUBLE_EQ(readers[1].second, 60.0);
+  for (const auto& [thread, bytes] : readers) {
+    EXPECT_DOUBLE_EQ(bytes, thread == 0 ? 100.0 : 60.0);  // max(100, 40)
+  }
+  const SquareMatrix tcm = DistributedTcmReducer::accrue_parallel(m, 3, 1);
+  EXPECT_DOUBLE_EQ(tcm.at(0, 1), 60.0);  // min(max(100, 40), 60)
+  EXPECT_DOUBLE_EQ(tcm.at(0, 2), 0.0);   // object 8 read by thread 2 alone
+  EXPECT_EQ(tcm, TcmBuilder::build_reference(rs, 3, false));
 }
 
-TEST(DistributedTcm, MatchesCentralizedBuilderExactlyOnSmallInput) {
+TEST(DistributedTcm, MatchesReferenceExactlyOnSmallInput) {
   std::vector<IntervalRecord> rs;
   rs.push_back(rec(0, 0, {{1, 0, 64, 2}, {2, 0, 32, 1}}));
   rs.push_back(rec(1, 1, {{1, 0, 64, 2}}));
   rs.push_back(rec(2, 2, {{2, 0, 32, 1}, {1, 0, 16, 4}}));
-  const SquareMatrix central = TcmBuilder::build(rs, 3, true);
-  const SquareMatrix dist = DistributedTcmReducer::build(rs, 3, true);
+  const std::vector<OalArena> arenas = pack_arenas(rs);
+  const SquareMatrix central = TcmBuilder::build_reference(rs, 3, true);
+  const SquareMatrix dist =
+      DistributedTcmReducer::build(log_ptrs(arenas), 3, true);
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
       EXPECT_NEAR(dist.at(i, j), central.at(i, j), 1e-9) << i << "," << j;
@@ -100,9 +164,10 @@ class DistributedEquivalenceSweep
 TEST_P(DistributedEquivalenceSweep, RandomizedEquivalence) {
   const auto [seed, workers] = GetParam();
   const auto rs = random_records(seed, 16, 8, 200, 40, 512);
-  const SquareMatrix central = TcmBuilder::build(rs, 16, true);
+  const std::vector<OalArena> arenas = pack_arenas(rs);
+  const SquareMatrix central = TcmBuilder::build_reference(rs, 16, true);
   const SquareMatrix dist =
-      DistributedTcmReducer::build(rs, 16, true, workers);
+      DistributedTcmReducer::build(log_ptrs(arenas), 16, true, workers);
   ASSERT_GT(central.total(), 0.0);
   EXPECT_LT(absolute_error(dist, central), 1e-9) << "seed=" << seed;
 }
@@ -118,14 +183,20 @@ TEST(DistributedTcm, TreeReduceAccountsTraffic) {
     rs.push_back(rec(static_cast<ThreadId>(n), n,
                      {{static_cast<ObjectId>(n), 0, 64, 1}}));
   }
+  const std::vector<OalArena> arenas = pack_arenas(rs);
+  ArenaScratch scratch;
   Network net(SimCosts{});
-  auto partials = DistributedTcmReducer::local_reduce(rs, false);
+  auto partials =
+      DistributedTcmReducer::local_reduce(log_ptrs(arenas), false, scratch);
   ASSERT_EQ(partials.size(), 8u);
   static_cast<void>(  // only the traffic matters here
-      DistributedTcmReducer::tree_reduce(std::move(partials), &net));
-  // Binary tree over 8 partials: 4 + 2 + 1 = 7 merge messages.
+      DistributedTcmReducer::tree_reduce(std::move(partials), &net, scratch));
+  // Binary tree over 8 partials: 4 + 2 + 1 = 7 merge messages.  Each prices
+  // 16 + 8 * objects + 12 * readers plus a message header: four leaves of
+  // one object/reader (36), two pairs (56), one quad (96).
   EXPECT_EQ(net.stats().messages_of(MsgCategory::kOal), 7u);
-  EXPECT_GT(net.stats().bytes_of(MsgCategory::kOal), 0u);
+  EXPECT_EQ(net.stats().bytes_of(MsgCategory::kOal),
+            4 * 36 + 2 * 56 + 96 + 7 * kMessageHeaderBytes);
 }
 
 TEST(DistributedTcm, TreeReduceTrafficBeatsCentralShippingForWideClusters) {
@@ -145,162 +216,115 @@ TEST(DistributedTcm, TreeReduceTrafficBeatsCentralShippingForWideClusters) {
       rs.push_back(std::move(r));
     }
   }
+  const std::vector<OalArena> arenas = pack_arenas(rs);
+  ArenaScratch scratch;
   Network net(SimCosts{});
-  auto partials = DistributedTcmReducer::local_reduce(rs, false);
   static_cast<void>(  // only the traffic matters here
-      DistributedTcmReducer::tree_reduce(std::move(partials), &net));
+      DistributedTcmReducer::tree_reduce(
+          DistributedTcmReducer::local_reduce(log_ptrs(arenas), false, scratch),
+          &net, scratch));
   EXPECT_LT(net.stats().bytes_of(MsgCategory::kOal), raw_bytes / 4);
+  EXPECT_EQ(net.stats().bytes_of(MsgCategory::kOal), expected_tree_traffic(rs));
 }
 
-TEST(DistributedTcm, WirBytesGrowWithContent) {
+TEST(DistributedTcm, WireBytesGrowWithContent) {
   NodePartial empty;
   NodePartial full;
-  full.summaries.push_back({1, {{0, 1.0}, {1, 2.0}}});
-  EXPECT_GT(full.wire_bytes(), empty.wire_bytes());
+  full.arena.objects = {1};
+  full.arena.klass = {0};
+  full.arena.offsets = {0, 2};
+  full.arena.readers = {{0, 1.0}, {1, 2.0}};
+  EXPECT_EQ(empty.wire_bytes(), 16u);
+  EXPECT_EQ(full.wire_bytes(), 16u + 8u + 2u * 12u);
 }
 
 TEST(DistributedTcm, ParallelAccrualSmallInputFallsBackToSequential) {
   // Below the parallel threshold the sequential path runs; results match.
-  std::vector<ObjectAccessSummary> summaries;
-  summaries.push_back({1, {{0, 10.0}, {1, 10.0}}});
-  const SquareMatrix seq = TcmBuilder::accrue(summaries, 2);
-  const SquareMatrix par = DistributedTcmReducer::accrue_parallel(summaries, 2, 8);
-  EXPECT_EQ(seq, par);
+  std::vector<IntervalRecord> rs;
+  rs.push_back(rec(0, 0, {{1, 0, 10, 1}}));
+  rs.push_back(rec(1, 0, {{1, 0, 10, 1}}));
+  const ReaderArena arena = csr_of(rs, /*weighted=*/true);
+  const SquareMatrix par = DistributedTcmReducer::accrue_parallel(arena, 2, 8);
+  EXPECT_EQ(par, TcmBuilder::accrue_sparse(arena, 2).densify());
+  EXPECT_EQ(par, TcmBuilder::build_reference(rs, 2, true));
 }
 
-// --- CSR pipeline vs the map-based oracle -----------------------------------
-
-/// Packs records into fixed-size ingest arenas (capacity entries each),
-/// splitting intervals across arenas exactly as IngestHub::append does.
-std::vector<OalArena> pack_arenas(std::span<const IntervalRecord> records,
-                                  std::uint32_t capacity) {
-  std::vector<OalArena> arenas(1);
-  for (const IntervalRecord& r : records) {
-    std::size_t done = 0;
-    while (done < r.entries.size()) {
-      OalArena* a = &arenas.back();
-      if (a->entries.size() >= capacity) {
-        arenas.emplace_back();
-        a = &arenas.back();
-      }
-      const std::size_t room = capacity - a->entries.size();
-      const std::size_t take = std::min(room, r.entries.size() - done);
-      ArenaInterval iv;
-      iv.thread = r.thread;
-      iv.interval = r.interval;
-      iv.node = r.node;
-      iv.start_pc = r.start_pc;
-      iv.end_pc = r.end_pc;
-      iv.begin = static_cast<std::uint32_t>(a->entries.size());
-      a->entries.insert(a->entries.end(), r.entries.begin() + done,
-                        r.entries.begin() + done + take);
-      iv.end = static_cast<std::uint32_t>(a->entries.size());
-      a->intervals.push_back(iv);
-      done += take;
-    }
+TEST(DistributedTcm, ShardedAccrualMatchesReference) {
+  // About 4k objects: past accrue_parallel's 1024-object threshold, so the
+  // worker threads run and each shard's partial must reach the final map.
+  const auto rs = random_records(77, 16, 4, 400, 60, 4096);
+  const ReaderArena arena = csr_of(rs, /*weighted=*/true);
+  ASSERT_GE(arena.object_count(), 2048u);
+  const SquareMatrix ref = TcmBuilder::build_reference(rs, 16, true);
+  ASSERT_GT(ref.total(), 0.0);
+  const std::vector<OalArena> arenas = pack_arenas(rs, /*capacity=*/4096);
+  for (const unsigned workers : {2u, 4u}) {
+    EXPECT_LT(absolute_error(
+                  DistributedTcmReducer::accrue_parallel(arena, 16, workers), ref),
+              1e-9)
+        << "accrue_parallel, " << workers << " workers";
   }
-  return arenas;
+  EXPECT_LT(absolute_error(
+                DistributedTcmReducer::build(log_ptrs(arenas), 16, true, 4), ref),
+            1e-9)
+      << "build, 4 workers";
 }
 
-TEST(DistributedTcmCsr, LocalReduceMatchesOracleRepresentationAndWire) {
+TEST(DistributedTcm, LocalReducePerNodeMapsAndWire) {
   const auto rs = random_records(99, 8, 4, 80, 16, 128);
+  const std::vector<OalArena> arenas = pack_arenas(rs);
   ArenaScratch scratch;
-  auto oracle = DistributedTcmReducer::local_reduce(rs, true);
-  // The oracle groups in first-appearance order; CSR partials come back
-  // sorted by node id.
-  std::sort(oracle.begin(), oracle.end(),
-            [](const NodePartial& a, const NodePartial& b) {
-              return a.node < b.node;
-            });
-  const auto csr = DistributedTcmReducer::local_reduce_csr(rs, true, scratch);
-  ASSERT_EQ(csr.size(), oracle.size());
-  for (std::size_t i = 0; i < csr.size(); ++i) {
-    EXPECT_EQ(csr[i].node, oracle[i].node);
-    // Identical content must price identically on the wire: traffic
-    // comparisons between the pipelines measure representation, not
-    // accounting drift.
-    EXPECT_EQ(csr[i].wire_bytes(), oracle[i].wire_bytes());
-    // Same per-node map once accrued.
-    const SquareMatrix mo = TcmBuilder::accrue(oracle[i].summaries, 8);
-    const SquareMatrix mc =
-        DistributedTcmReducer::accrue_parallel(csr[i].arena, 8, 1);
-    EXPECT_LT(absolute_error(mc, mo), 1e-9) << "node " << csr[i].node;
+  const auto partials =
+      DistributedTcmReducer::local_reduce(log_ptrs(arenas), true, scratch);
+  ASSERT_EQ(partials.size(), 4u);
+  for (const NodePartial& p : partials) {
+    const std::vector<IntervalRecord> mine = records_on(rs, p.node);
+    EXPECT_EQ(p.wire_bytes(), partial_wire_bytes(mine)) << "node " << p.node;
+    const SquareMatrix map = DistributedTcmReducer::accrue_parallel(p.arena, 8, 1);
+    EXPECT_LT(absolute_error(map, TcmBuilder::build_reference(mine, 8, true)),
+              1e-9)
+        << "node " << p.node;
   }
 }
 
-TEST(DistributedTcmCsr, TreeReduceMatchesOracleResultAndTraffic) {
+TEST(DistributedTcm, TreeReduceMergedMapAndTraffic) {
   const auto rs = random_records(7, 16, 8, 150, 24, 256);
+  const std::vector<OalArena> arenas = pack_arenas(rs);
   ArenaScratch scratch;
-  Network net_oracle(SimCosts{});
-  Network net_csr(SimCosts{});
-  auto oracle_partials = DistributedTcmReducer::local_reduce(rs, true);
-  // Same tree shape as the CSR side (which sorts by node) so the per-level
-  // message sizes are comparable.
-  std::sort(oracle_partials.begin(), oracle_partials.end(),
-            [](const NodePartial& a, const NodePartial& b) {
-              return a.node < b.node;
-            });
-  auto merged_oracle =
-      DistributedTcmReducer::tree_reduce(std::move(oracle_partials), &net_oracle);
-  auto merged_csr = DistributedTcmReducer::tree_reduce_csr(
-      DistributedTcmReducer::local_reduce_csr(rs, true, scratch), &net_csr,
-      scratch);
-  // Identical reduction traffic, message for message.
-  EXPECT_EQ(net_csr.stats().messages_of(MsgCategory::kOal),
-            net_oracle.stats().messages_of(MsgCategory::kOal));
-  EXPECT_EQ(net_csr.stats().bytes_of(MsgCategory::kOal),
-            net_oracle.stats().bytes_of(MsgCategory::kOal));
-  // Identical merged map.
-  const SquareMatrix mo = TcmBuilder::accrue(merged_oracle.summaries, 16);
-  const SquareMatrix mc =
-      DistributedTcmReducer::accrue_parallel(merged_csr.arena, 16, 4);
-  EXPECT_LT(absolute_error(mc, mo), 1e-9);
+  Network net(SimCosts{});
+  const NodePartial merged = DistributedTcmReducer::tree_reduce(
+      DistributedTcmReducer::local_reduce(log_ptrs(arenas), true, scratch),
+      &net, scratch);
+  EXPECT_EQ(net.stats().messages_of(MsgCategory::kOal), 7u);
+  EXPECT_EQ(net.stats().bytes_of(MsgCategory::kOal), expected_tree_traffic(rs));
+  const SquareMatrix map =
+      DistributedTcmReducer::accrue_parallel(merged.arena, 16, 4);
+  EXPECT_LT(absolute_error(map, TcmBuilder::build_reference(rs, 16, true)), 1e-9);
 }
 
-TEST(DistributedTcmCsr, ArenaBuildMatchesRecordBuildAcrossSplits) {
+TEST(DistributedTcm, ArenaSplitsMatchReference) {
   const auto rs = random_records(21, 12, 6, 120, 20, 200);
-  const SquareMatrix central = TcmBuilder::build(rs, 12, true);
+  const SquareMatrix central = TcmBuilder::build_reference(rs, 12, true);
   // Tight 32-entry arenas force interval splits and multi-node arenas; the
   // slice-level bucketing must still reproduce the record-level result.
   const std::vector<OalArena> arenas = pack_arenas(rs, 32);
-  std::vector<const OalArena*> logs;
-  for (const OalArena& a : arenas) logs.push_back(&a);
-  const SquareMatrix from_arenas = DistributedTcmReducer::build(
-      std::span<const OalArena* const>(logs), 12, true, 2);
+  const SquareMatrix from_arenas =
+      DistributedTcmReducer::build(log_ptrs(arenas), 12, true, 2);
   ASSERT_GT(central.total(), 0.0);
   EXPECT_LT(absolute_error(from_arenas, central), 1e-9);
 }
 
-TEST(DistributedTcmCsr, MergeCsrIsTheOracleMonoid) {
-  // Same hand-built case as MergeUnionsReadersWithMax, carried in CSR.
-  std::vector<IntervalRecord> ra;
-  ra.push_back(rec(0, 0, {{7, 0, 100, 1}}));
-  std::vector<IntervalRecord> rb;
-  rb.push_back(rec(0, 1, {{7, 0, 40, 1}}));
-  rb.push_back(rec(1, 1, {{7, 0, 60, 1}}));
-  rb.push_back(rec(2, 1, {{8, 0, 30, 1}}));
-  ArenaScratch scratch;
-  auto pa = DistributedTcmReducer::local_reduce_csr(ra, false, scratch);
-  auto pb = DistributedTcmReducer::local_reduce_csr(rb, false, scratch);
-  ASSERT_EQ(pa.size(), 1u);
-  ASSERT_EQ(pb.size(), 1u);
-  DistributedTcmReducer::merge_csr(pa[0], pb[0], scratch);
-  const ReaderArena& m = pa[0].arena;
-  ASSERT_EQ(m.objects.size(), 2u);  // objects 7 and 8
-  const SquareMatrix tcm = DistributedTcmReducer::accrue_parallel(m, 3, 1);
-  EXPECT_DOUBLE_EQ(tcm.at(0, 1), 60.0);  // min(max(100, 40), 60)
-  EXPECT_DOUBLE_EQ(tcm.at(0, 2), 0.0);   // object 8 read by thread 2 alone
-}
-
 TEST(DistributedTcm, MigratedThreadRecordsMergeAcrossNodes) {
   // A thread whose records span two nodes (it migrated) still deduplicates
-  // per (thread, object) with max, like the centralized builder.
+  // per (thread, object) with max, like the reference builder.
   std::vector<IntervalRecord> rs;
   rs.push_back(rec(0, 0, {{7, 0, 100, 1}}));
   rs.push_back(rec(0, 1, {{7, 0, 80, 1}}));  // after migration, re-logged
   rs.push_back(rec(1, 2, {{7, 0, 90, 1}}));
-  const SquareMatrix central = TcmBuilder::build(rs, 2, false);
-  const SquareMatrix dist = DistributedTcmReducer::build(rs, 2, false);
+  const std::vector<OalArena> arenas = pack_arenas(rs);
+  const SquareMatrix central = TcmBuilder::build_reference(rs, 2, false);
+  const SquareMatrix dist =
+      DistributedTcmReducer::build(log_ptrs(arenas), 2, false);
   EXPECT_DOUBLE_EQ(central.at(0, 1), 90.0);  // min(max(100,80), 90)
   EXPECT_DOUBLE_EQ(dist.at(0, 1), 90.0);
 }

@@ -14,6 +14,8 @@
 #include "net/network.hpp"
 #include "profiling/distributed_tcm.hpp"
 
+#include "ingest_helpers.hpp"
+
 namespace djvm {
 namespace {
 
@@ -280,9 +282,11 @@ TEST(DegradedReduce, DeadNodePartialIsSkippedAndReported) {
   Network net(SimCosts{});
   net.set_fault_injector(&inj);
 
+  const std::vector<OalArena> arenas = pack_arenas(records);
+  const std::vector<const OalArena*> logs = log_ptrs(arenas);
   std::vector<NodeId> lost;
   const SquareMatrix map = DistributedTcmReducer::build(
-      records, /*threads=*/3, /*weighted=*/false, /*threads_hw=*/1, &net, &lost);
+      logs, /*threads=*/3, /*weighted=*/false, /*threads_hw=*/1, &net, &lost);
   ASSERT_EQ(lost.size(), 1u);
   EXPECT_EQ(lost[0], 2);
   EXPECT_EQ(map.size(), 3u);
@@ -290,7 +294,7 @@ TEST(DegradedReduce, DeadNodePartialIsSkippedAndReported) {
   // Fault-free, the same records lose nothing.
   Network clean(SimCosts{});
   std::vector<NodeId> lost2;
-  (void)DistributedTcmReducer::build(records, 3, false, 1, &clean, &lost2);
+  (void)DistributedTcmReducer::build(logs, 3, false, 1, &clean, &lost2);
   EXPECT_TRUE(lost2.empty());
 }
 

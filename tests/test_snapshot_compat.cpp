@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -424,6 +425,40 @@ TEST_F(SnapshotCompatTest, CorruptV5MigrationSectionIsRejected) {
   good.migrations_executed = 1;
   good.migrations = {{}};
   EXPECT_TRUE(decode_snapshot(build_fixture(good), gov, tcm));
+}
+
+TEST_F(SnapshotCompatTest, NonFiniteTcmCellIsRejectedByBothDecoders) {
+  FixtureSpec spec;
+  spec.version = kSnapshotVersion;
+  const std::vector<std::uint8_t> good = build_fixture(spec);
+  Governor gov(plan);
+  const GovernorState state = gov.state();
+  const std::uint32_t gap = plan.nominal_gap(hot);
+  ASSERT_NE(state, GovernorState::kSentinel);  // what the fixture would load
+  // The 2 x 2 map is the last section before the CRC32 footer; the CRC is
+  // recomputed, so only the cell check can catch the bad value.
+  const std::size_t last_cell = good.size() - 4 - sizeof(double);
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    std::vector<std::uint8_t> bad = good;
+    std::memcpy(bad.data() + last_cell, &v, sizeof(v));
+    const std::uint32_t crc = crc32(bad.data(), bad.size() - 4);
+    std::memcpy(bad.data() + bad.size() - 4, &crc, sizeof(crc));
+    SquareMatrix tcm;
+    EXPECT_FALSE(decode_snapshot(bad, gov, tcm)) << v;
+    EXPECT_EQ(gov.state(), state) << v;
+    EXPECT_EQ(plan.nominal_gap(hot), gap) << v;
+    EXPECT_EQ(tcm.size(), 0u) << v;
+    SnapshotInfo info;
+    EXPECT_FALSE(parse_snapshot(bad, info)) << v;
+  }
+  // The same bytes with a finite cell load through both decoders.
+  SquareMatrix tcm;
+  SnapshotInfo info;
+  EXPECT_TRUE(parse_snapshot(good, info));
+  EXPECT_TRUE(decode_snapshot(good, gov, tcm));
+  EXPECT_EQ(gov.state(), GovernorState::kSentinel);
 }
 
 TEST_F(SnapshotCompatTest, CorruptV4InfluenceSectionIsRejected) {

@@ -4,6 +4,8 @@
 #include "profiling/accuracy.hpp"
 #include "profiling/tcm.hpp"
 
+#include "ingest_helpers.hpp"
+
 namespace djvm {
 namespace {
 
@@ -16,7 +18,7 @@ IntervalRecord rec(ThreadId t, IntervalId i, std::vector<OalEntry> entries) {
 }
 
 TEST(TcmBuilder, EmptyRecordsGiveZeroMatrix) {
-  const SquareMatrix tcm = TcmBuilder::build({}, 4);
+  const SquareMatrix tcm = tcm_of({}, 4);
   EXPECT_DOUBLE_EQ(tcm.total(), 0.0);
   EXPECT_EQ(tcm.size(), 4u);
 }
@@ -25,7 +27,7 @@ TEST(TcmBuilder, SharedObjectCreatesSymmetricCell) {
   std::vector<IntervalRecord> rs;
   rs.push_back(rec(0, 0, {{7, 0, 100, 1}}));
   rs.push_back(rec(1, 0, {{7, 0, 100, 1}}));
-  const SquareMatrix tcm = TcmBuilder::build(rs, 2);
+  const SquareMatrix tcm = tcm_of(rs, 2);
   EXPECT_DOUBLE_EQ(tcm.at(0, 1), 100.0);
   EXPECT_DOUBLE_EQ(tcm.at(1, 0), 100.0);
 }
@@ -34,14 +36,14 @@ TEST(TcmBuilder, UnsharedObjectContributesNothing) {
   std::vector<IntervalRecord> rs;
   rs.push_back(rec(0, 0, {{1, 0, 100, 1}}));
   rs.push_back(rec(1, 0, {{2, 0, 100, 1}}));
-  const SquareMatrix tcm = TcmBuilder::build(rs, 2);
+  const SquareMatrix tcm = tcm_of(rs, 2);
   EXPECT_DOUBLE_EQ(tcm.total(), 0.0);
 }
 
 TEST(TcmBuilder, ThreeWaySharingHitsAllPairs) {
   std::vector<IntervalRecord> rs;
   for (ThreadId t = 0; t < 3; ++t) rs.push_back(rec(t, 0, {{7, 0, 50, 1}}));
-  const SquareMatrix tcm = TcmBuilder::build(rs, 3);
+  const SquareMatrix tcm = tcm_of(rs, 3);
   EXPECT_DOUBLE_EQ(tcm.at(0, 1), 50.0);
   EXPECT_DOUBLE_EQ(tcm.at(0, 2), 50.0);
   EXPECT_DOUBLE_EQ(tcm.at(1, 2), 50.0);
@@ -53,7 +55,7 @@ TEST(TcmBuilder, PairTakesMinBytes) {
   std::vector<IntervalRecord> rs;
   rs.push_back(rec(0, 0, {{7, 0, 100, 1}}));
   rs.push_back(rec(1, 0, {{7, 0, 60, 1}}));
-  const SquareMatrix tcm = TcmBuilder::build(rs, 2);
+  const SquareMatrix tcm = tcm_of(rs, 2);
   EXPECT_DOUBLE_EQ(tcm.at(0, 1), 60.0);
 }
 
@@ -65,7 +67,7 @@ TEST(TcmBuilder, RepeatedIntervalsDoNotDoubleCount) {
     rs.push_back(rec(0, i, {{7, 0, 100, 1}}));
     rs.push_back(rec(1, i, {{7, 0, 100, 1}}));
   }
-  const SquareMatrix tcm = TcmBuilder::build(rs, 2);
+  const SquareMatrix tcm = tcm_of(rs, 2);
   EXPECT_DOUBLE_EQ(tcm.at(0, 1), 100.0);
 }
 
@@ -73,25 +75,24 @@ TEST(TcmBuilder, WeightedAppliesGapScaling) {
   std::vector<IntervalRecord> rs;
   rs.push_back(rec(0, 0, {{7, 0, 10, 31}}));
   rs.push_back(rec(1, 0, {{7, 0, 10, 31}}));
-  EXPECT_DOUBLE_EQ(TcmBuilder::build(rs, 2, true).at(0, 1), 310.0);
-  EXPECT_DOUBLE_EQ(TcmBuilder::build(rs, 2, false).at(0, 1), 10.0);
+  EXPECT_DOUBLE_EQ(tcm_of(rs, 2, true).at(0, 1), 310.0);
+  EXPECT_DOUBLE_EQ(tcm_of(rs, 2, false).at(0, 1), 10.0);
 }
 
 TEST(TcmBuilder, ReorganizeGroupsByObject) {
   std::vector<IntervalRecord> rs;
   rs.push_back(rec(0, 0, {{1, 0, 10, 1}, {2, 0, 20, 1}}));
   rs.push_back(rec(1, 0, {{1, 0, 10, 1}}));
-  const auto summaries = TcmBuilder::reorganize(rs, false);
-  ASSERT_EQ(summaries.size(), 2u);
-  const auto& s1 = summaries[0].obj == 1 ? summaries[0] : summaries[1];
-  EXPECT_EQ(s1.readers.size(), 2u);
+  const ReaderArena arena = csr_of(rs, false);
+  ASSERT_EQ(arena.object_count(), 2u);
+  EXPECT_EQ(arena.readers_of(arena.objects[0] == 1 ? 0 : 1).size(), 2u);
 }
 
 TEST(TcmBuilder, ThreadsOutOfRangeIgnored) {
   std::vector<IntervalRecord> rs;
   rs.push_back(rec(0, 0, {{7, 0, 100, 1}}));
   rs.push_back(rec(9, 0, {{7, 0, 100, 1}}));  // beyond the 2-thread matrix
-  const SquareMatrix tcm = TcmBuilder::build(rs, 2);
+  const SquareMatrix tcm = tcm_of(rs, 2);
   EXPECT_DOUBLE_EQ(tcm.total(), 0.0);
 }
 

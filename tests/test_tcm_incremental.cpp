@@ -72,7 +72,7 @@ TEST(ReaderArena, BucketSortsAndDedupsWithMax) {
   rs.push_back(rec(0, 0, {{7, 0, 100, 1}, {9, 0, 10, 1}, {7, 0, 40, 1}}));
   rs.push_back(rec(1, 1, {{7, 0, 60, 1}}));
   rs.push_back(rec(0, 2, {{7, 0, 120, 1}}));
-  const ReaderArena arena = TcmBuilder::reorganize_arena(rs, /*weighted=*/false);
+  const ReaderArena arena = csr_of(rs, /*weighted=*/false);
   ASSERT_EQ(arena.object_count(), 2u);
   EXPECT_EQ(arena.objects[0], 7u);  // first-appearance order
   EXPECT_EQ(arena.objects[1], 9u);
@@ -85,23 +85,13 @@ TEST(ReaderArena, BucketSortsAndDedupsWithMax) {
   EXPECT_EQ(arena.offsets.back(), arena.readers.size());
 }
 
-TEST(ReaderArena, CompatWrapperMatchesReferenceSummaries) {
-  const auto rs = random_stream(7, 8, 64, 50, 12);
-  const auto summaries = TcmBuilder::reorganize(rs, /*weighted=*/true);
-  // The wrapper must carry exactly the information the reference pipeline
-  // extracts: accruing both must give identical maps.
-  const SquareMatrix from_wrapper = TcmBuilder::accrue(summaries, 8);
-  const SquareMatrix reference = TcmBuilder::build_reference(rs, 8, true);
-  expect_maps_equal(from_wrapper, reference, "wrapper summaries");
-}
-
 TEST(ReaderArena, SparseObjectIdsSpillSafely) {
   // Ids far beyond the direct-index cap must not size an allocation.
   std::vector<IntervalRecord> rs;
   const ObjectId huge = ObjectId{1} << 40;
   rs.push_back(rec(0, 0, {{huge, 0, 100, 1}, {3, 0, 50, 1}}));
   rs.push_back(rec(1, 1, {{huge, 0, 80, 1}}));
-  const SquareMatrix fast = TcmBuilder::build(rs, 2, false);
+  const SquareMatrix fast = tcm_of(rs, 2, false);
   const SquareMatrix ref = TcmBuilder::build_reference(rs, 2, false);
   expect_maps_equal(fast, ref, "sparse ids");
   EXPECT_DOUBLE_EQ(fast.at(0, 1), 80.0);
@@ -113,7 +103,7 @@ TEST(TcmEquivalence, FastBuildMatchesReferenceRandomized) {
   for (const std::uint64_t seed : {1ull, 2ull, 42ull, 999ull}) {
     const auto rs = random_stream(seed, 16, 512, 200, 30);
     const SquareMatrix ref = TcmBuilder::build_reference(rs, 16, true);
-    const SquareMatrix fast = TcmBuilder::build(rs, 16, true);
+    const SquareMatrix fast = tcm_of(rs, 16, true);
     ASSERT_GT(ref.total(), 0.0);
     expect_maps_equal(fast, ref, "one-shot build");
   }
@@ -124,9 +114,9 @@ TEST(TcmEquivalence, UnweightedAndThreadsOutOfRange) {
   rs.push_back(rec(0, 0, {{7, 0, 100, 5}}));
   rs.push_back(rec(9, 1, {{7, 0, 100, 5}}));  // beyond the 2-thread matrix
   rs.push_back(rec(1, 2, {{7, 0, 60, 5}}));
-  expect_maps_equal(TcmBuilder::build(rs, 2, false),
+  expect_maps_equal(tcm_of(rs, 2, false),
                     TcmBuilder::build_reference(rs, 2, false), "unweighted");
-  expect_maps_equal(TcmBuilder::build(rs, 2, true),
+  expect_maps_equal(tcm_of(rs, 2, true),
                     TcmBuilder::build_reference(rs, 2, true), "weighted");
 }
 
@@ -143,14 +133,15 @@ TEST_P(IncrementalSweep, SplitSubmissionsMatchFromScratch) {
   // batches, one record at a time.
   SplitMix64 rng(seed ^ 0xABCD);
   for (int split = 0; split < 3; ++split) {
-    TcmAccumulator acc(12, /*weighted=*/true);
+    TcmAccumulator acc(12);
     std::size_t pos = 0;
     while (pos < rs.size()) {
       std::size_t take = split == 0   ? rs.size()
                          : split == 1 ? 1 + rng.next_below(40)
                                       : 1;
       take = std::min(take, rs.size() - pos);
-      acc.add(std::span<const IntervalRecord>(rs).subspan(pos, take));
+      acc.add(csr_of(std::span<const IntervalRecord>(rs).subspan(pos, take),
+                     /*weighted=*/true));
       pos += take;
     }
     expect_maps_equal(acc.dense(), ref, "split fold");
@@ -164,12 +155,12 @@ TEST(TcmAccumulator, MidStreamResetDropsHistory) {
   const auto a = random_stream(5, 8, 128, 60, 16);
   const auto b = random_stream(6, 8, 128, 60, 16);
   TcmAccumulator acc(8);
-  acc.add(a);
+  acc.add(csr_of(a, /*weighted=*/true));
   ASSERT_GT(acc.objects_tracked(), 0u);
   acc.reset();
   EXPECT_EQ(acc.objects_tracked(), 0u);
   EXPECT_EQ(acc.reader_entries(), 0u);
-  acc.add(b);
+  acc.add(csr_of(b, /*weighted=*/true));
   expect_maps_equal(acc.dense(), TcmBuilder::build_reference(b, 8, true),
                     "post-reset fold");
 }
@@ -180,8 +171,8 @@ TEST(TcmAccumulator, CsrMergeEqualsCombinedStream) {
   const auto a = random_stream(11, 10, 200, 80, 20);
   const auto b = random_stream(12, 10, 200, 80, 20);
   TcmAccumulator acc(10);
-  acc.add(TcmBuilder::reorganize_arena(a, /*weighted=*/true));
-  acc.add(TcmBuilder::reorganize_arena(b, /*weighted=*/true));
+  acc.add(csr_of(a, /*weighted=*/true));
+  acc.add(csr_of(b, /*weighted=*/true));
 
   std::vector<IntervalRecord> both = a;
   both.insert(both.end(), b.begin(), b.end());
@@ -208,15 +199,15 @@ TEST(TcmAccumulator, MaxCombiningNeverDoubleCounts) {
   std::vector<IntervalRecord> rs;
   rs.push_back(rec(0, 0, {{7, 0, 50, 1}}));
   rs.push_back(rec(1, 1, {{7, 0, 80, 1}}));
-  acc.add(rs);
+  acc.add(csr_of(rs, /*weighted=*/true));
   EXPECT_DOUBLE_EQ(acc.dense().at(0, 1), 50.0);
   std::vector<IntervalRecord> more;
   more.push_back(rec(0, 2, {{7, 0, 70, 1}}));  // raises thread 0's max
-  acc.add(more);
+  acc.add(csr_of(more, /*weighted=*/true));
   EXPECT_DOUBLE_EQ(acc.dense().at(0, 1), 70.0);
   std::vector<IntervalRecord> again;
   again.push_back(rec(0, 3, {{7, 0, 30, 1}}));  // below the max: no change
-  acc.add(again);
+  acc.add(csr_of(again, /*weighted=*/true));
   EXPECT_DOUBLE_EQ(acc.dense().at(0, 1), 70.0);
 }
 
@@ -777,8 +768,7 @@ TEST_P(SingleFoldDaemonDiff, MatchesOraclesOnRandomStreams) {
         if (HasFailure()) return;  // one failing epoch is enough to report
       }
 
-      const ReaderArena csr =
-          TcmBuilder::reorganize_arena(rs, /*weighted=*/true);
+      const ReaderArena csr = csr_of(rs, /*weighted=*/true);
       for (std::size_t k = 0; k < csr.object_count(); ++k) {
         for (const auto& reader : csr.readers_of(k)) {
           one_by_one.add_readers(csr.objects[k], {&reader, 1});

@@ -9,6 +9,8 @@
 #include "profiling/distributed_tcm.hpp"
 #include "profiling/tcm.hpp"
 
+#include "ingest_helpers.hpp"
+
 namespace djvm {
 namespace {
 
@@ -66,11 +68,12 @@ TEST(TcmRetention, DropStaleMatchesReferenceOverLiveRecords) {
                                 /*records=*/40, /*entries=*/12);
 
   TcmAccumulator acc(kThreads);
-  acc.add(stale);
-  acc.add(live);
+  acc.add(csr_of(stale, /*weighted=*/true));
+  acc.add(csr_of(live, /*weighted=*/true));
   for (int epoch = 0; epoch < 4; ++epoch) {
     acc.advance_epoch();
-    acc.add(live);  // identical records: max-combining leaves values as-is
+    // Identical records: max-combining leaves values as-is.
+    acc.add(csr_of(live, /*weighted=*/true));
   }
   const TcmCompactStats stats = acc.compact(/*idle_epochs=*/3, /*decay=*/0.0);
   EXPECT_GT(stats.dropped_objects, 0u);
@@ -84,7 +87,7 @@ TEST(TcmRetention, DropStaleMatchesReferenceOverLiveRecords) {
   std::size_t live_objects = 0;
   {
     TcmAccumulator probe(kThreads);
-    probe.add(live);
+    probe.add(csr_of(live, /*weighted=*/true));
     live_objects = probe.objects_tracked();
   }
   EXPECT_EQ(acc.objects_tracked(), live_objects);
@@ -94,7 +97,7 @@ TEST(TcmRetention, CompactIsIdempotentWithinAnEpoch) {
   const auto records = stream_over(3, 0, 128, 60, 10);
   for (const double decay : {0.0, 0.5}) {
     TcmAccumulator acc(kThreads);
-    acc.add(records);
+    acc.add(csr_of(records, /*weighted=*/true));
     for (int i = 0; i < 5; ++i) acc.advance_epoch();
     const TcmCompactStats first = acc.compact(2, decay);
     EXPECT_GT(first.dropped_objects + first.decayed_objects, 0u);
@@ -111,7 +114,7 @@ TEST(TcmRetention, DecayScalesStalePairMassExactly) {
   // One stale object (threads 0/1, 100 bytes each) and one live object
   // (threads 2/3, 80 bytes each), unweighted so the expected cells are
   // plain minima.
-  TcmAccumulator acc(kThreads, /*weighted=*/false);
+  TcmAccumulator acc(kThreads);
   const std::vector<std::pair<ThreadId, double>> stale_readers = {{0, 100.0},
                                                                   {1, 100.0}};
   const std::vector<std::pair<ThreadId, double>> live_readers = {{2, 80.0},
@@ -151,17 +154,17 @@ TEST(TcmRetention, MergeAfterCompactMatchesReference) {
   const auto incoming = stream_over(6, 800, 64, 30, 10);
 
   TcmAccumulator acc(kThreads);
-  acc.add(stale);
-  acc.add(live);
+  acc.add(csr_of(stale, /*weighted=*/true));
+  acc.add(csr_of(live, /*weighted=*/true));
   for (int i = 0; i < 4; ++i) {
     acc.advance_epoch();
-    acc.add(live);
+    acc.add(csr_of(live, /*weighted=*/true));
   }
   ASSERT_GT(acc.compact(3, 0.0).dropped_objects, 0u);
 
   // Merging a fresh epoch's CSR into a compacted accumulator must behave as
   // if the dropped objects never existed.
-  acc.add(TcmBuilder::reorganize_arena(incoming, /*weighted=*/true));
+  acc.add(csr_of(incoming, /*weighted=*/true));
 
   std::vector<IntervalRecord> surviving = live;
   surviving.insert(surviving.end(), incoming.begin(), incoming.end());
@@ -171,8 +174,9 @@ TEST(TcmRetention, MergeAfterCompactMatchesReference) {
   // And the distributed reducer over the same surviving records agrees —
   // compaction composes with the reduction monoid.
   expect_maps_near(acc.dense(),
-                   DistributedTcmReducer::build(surviving, kThreads,
-                                                /*weighted=*/true),
+                   DistributedTcmReducer::build(
+                       log_ptrs(pack_arenas(surviving)), kThreads,
+                       /*weighted=*/true),
                    "merge-after-compact vs distributed reducer");
 }
 
@@ -188,7 +192,7 @@ TEST(TcmRetention, FreeListBoundsPoolUnderChurn) {
     const auto batch =
         stream_over(100 + epoch, static_cast<ObjectId>(epoch) * kWindow,
                     kWindow, 20, 8);
-    acc.add(batch);
+    acc.add(csr_of(batch, /*weighted=*/true));
     acc.advance_epoch();
     acc.compact(/*idle_epochs=*/3, /*decay=*/0.0);
     if (epoch == kEpochs / 2) mem_mid = acc.memory_bytes();
