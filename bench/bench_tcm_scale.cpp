@@ -24,9 +24,10 @@
 // TcmBuilder::reorganize_arena per arena into TcmAccumulator::add) and the
 // one-shot CSR pipeline (DistributedTcmReducer::build) — match one final
 // build_reference to 1e-9.  It also gates their ratio: the incremental fold
-// may take at most 2.5x the one-shot CSR pipeline's time in the same run, a
-// bound that holds on any host where the absolute seconds drift with its
-// speed.
+// may take at most 2.5x the one-shot CSR pipeline's time in the same run,
+// and the one-shot CSR pipeline's time is gated as a ratio to the
+// build_reference run beside it — bounds that hold on any host, where the
+// absolute seconds drift with its speed.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -264,13 +265,22 @@ int main() {
   report.metric("speedup_largest", largest_speedup, "max", 0.25);
   report.metric("max_rel_error", largest.max_rel_error, "min", 0.0, 1e-9);
   report.latency_metric("arena_incr_seconds_256t_1m", arena.incr_seconds, 0.35);
-  report.latency_metric("arena_csr_seconds_256t_1m", arena.csr_seconds, 0.35);
+  report.metric("arena_csr_seconds_256t_1m", arena.csr_seconds);
   report.metric("arena_reference_seconds_256t_1m", arena.reference_seconds);
-  // Host-independent form of the two timings above: the incremental fold's
-  // cost per unit of one-shot CSR work, from the same run.
+  // Host-independent forms of the timings above, from the same run: the
+  // incremental fold's cost per unit of one-shot CSR work, and the one-shot
+  // CSR pipeline's cost per unit of build_reference work (the oracle's
+  // hash-map pipeline over the same entries, which the fast paths never
+  // touch).
   const double incr_over_csr =
       arena.csr_seconds > 0.0 ? arena.incr_seconds / arena.csr_seconds : 0.0;
   report.metric("arena_incr_over_csr_256t_1m", incr_over_csr, "min", 0.5);
+  const double csr_over_reference =
+      arena.reference_seconds > 0.0
+          ? arena.csr_seconds / arena.reference_seconds
+          : 0.0;
+  report.metric("arena_csr_over_reference_256t_1m", csr_over_reference, "min",
+                0.35);
   report.metric("arena_incr_abs_error", arena.incr_error, "min", 0.0, 1e-9);
   report.metric("arena_csr_abs_error", arena.csr_error, "min", 0.0, 1e-9);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 
 #include "profiling/accuracy.hpp"
 
@@ -96,10 +97,7 @@ ReaderArena CorrelationDaemon::reorganize_pending() {
   return TcmBuilder::reorganize_arena(slices_, /*weighted=*/true, scratch_);
 }
 
-EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
-  EpochResult out;
-  out.intervals = pending_slices_;
-  std::uint64_t wire_bytes = 0;
+void CorrelationDaemon::fold_window(const ReaderArena& csr, EpochResult& out) {
   // Per-class benefit/cost stats feed only the closed-loop back-off; the
   // legacy and disarmed paths skip the per-entry pass.  Each entry is also
   // attributed to the worker node whose interval shipped it, so the
@@ -113,10 +111,8 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
   // a record would have).  Thread-home-affinity mass: HT-weighted bytes the
   // logging node accessed on objects homed elsewhere — cells the balancer's
   // home-aware planner acts on even without a co-located peer.
-  for (const OalArena* a : pending_arenas_) {
-    out.entries += a->entries.size();
-    wire_bytes += a->wire_bytes();
-    if (class_stats || want_cells) {
+  if (class_stats || want_cells) {
+    for (const OalArena* a : pending_arenas_) {
       for (const ArenaInterval& iv : a->intervals) {
         for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
           const OalEntry& e = a->entries[i];
@@ -136,13 +132,6 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
     }
   }
 
-  // The epoch's one fold: a single CSR over every pending slice answers the
-  // window map, the per-class attribution, and the whole-run merge.  All of
-  // it is coordinator map work, timed into build_seconds (its meaning — the
-  // full construction cost of this window's map, drains included — is what
-  // the governor's budget model expects).
-  const auto tb = std::chrono::steady_clock::now();
-  const ReaderArena csr = reorganize_pending();
   const UpperTriangle pairs = TcmBuilder::accrue_sparse(csr, threads_);
   if (want_cells) {
     out.cells =
@@ -152,10 +141,12 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
   const auto td = std::chrono::steady_clock::now();
   out.tcm = pairs.densify();
   out.densify_seconds = seconds_since(td);
+}
 
-  // Merge the window into the whole-run accumulator (ingested entries have
-  // no raw records to re-fold later, so build_full's map is fed here); under
-  // retention, periodically evict stale objects too.
+void CorrelationDaemon::fold_whole_run(const ReaderArena& csr,
+                                       EpochResult& out) {
+  // Ingested entries have no raw records to re-fold later, so build_full's
+  // map is fed here; under retention, periodically evict stale objects too.
   full_.add(csr);
   if (retention_.active()) {
     full_.advance_epoch();
@@ -169,6 +160,36 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
     out.retained_readers = full_.reader_entries();
     out.dropped_objects = dropped_objects_;
   }
+}
+
+EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
+  EpochResult out;
+  out.intervals = pending_slices_;
+  std::uint64_t wire_bytes = 0;
+  for (const OalArena* a : pending_arenas_) {
+    out.entries += a->entries.size();
+    wire_bytes += a->wire_bytes();
+  }
+
+  // The epoch's one fold: a single CSR over every pending slice answers the
+  // window map, the per-class attribution, and the whole-run merge.  All of
+  // it is coordinator map work, timed into build_seconds (its meaning — the
+  // full construction cost of this window's map, drains included — is what
+  // the governor's budget model expects).  The two sides read the same
+  // immutable CSR and write disjoint state, so an epoch of at least
+  // kForkMinReaders reader entries runs its window side on one helper thread
+  // while this thread folds the whole run, and joins before anything reads
+  // the window's results; every output is the one the serial order gives.
+  const auto tb = std::chrono::steady_clock::now();
+  const ReaderArena csr = reorganize_pending();
+  std::future<void> window;
+  if (csr.readers.size() >= kForkMinReaders) {
+    window = std::async(std::launch::async, [&] { fold_window(csr, out); });
+  } else {
+    fold_window(csr, out);
+  }
+  fold_whole_run(csr, out);
+  if (window.valid()) window.get();
   out.build_seconds = drain_seconds_ + seconds_since(tb);
   drain_seconds_ = 0.0;
   build_seconds_ += out.build_seconds;

@@ -4,7 +4,14 @@
 // epoch tick, folds the epoch's entries exactly once: one CSR reorganize over
 // every pending arena slice (see profiling/tcm.hpp) yields the window's map
 // (sparse accrual + one densify), its per-class cell attribution, and the
-// single merge into the whole-run accumulator behind build_full().  The
+// single merge into the whole-run accumulator behind build_full().  After the
+// reorganize the tick has two sides that read the same immutable CSR and
+// write disjoint state: the window side (class stats, accrual, attribution,
+// densify) and the whole-run side (merge, retention).  An epoch whose CSR
+// holds at least kForkMinReaders reader entries runs the window side on one
+// helper thread while the caller runs the whole-run side, then joins; a
+// smaller epoch runs both inline.  Either way every output is bit-identical
+// to the serial order, on any core count.  The
 // window's movement plus measured costs then go to the profiling governor,
 // which owns all rate decisions: the paper's Section II.B.2 convergence loop
 // in legacy mode, or the budgeted bidirectional controller with phase
@@ -39,12 +46,16 @@ struct EpochResult {
   std::size_t epoch = 0;
   std::size_t intervals = 0;
   std::size_t entries = 0;
-  /// Real CPU time of this window's TCM construction: the ingest() drains
-  /// plus the tick's reorganize, accrual, cell attribution, densify and
-  /// whole-run merge/retention.
+  /// Real time of this window's TCM construction: the ingest() drains plus
+  /// the wall time of the tick's fold — the reorganize, then the window side
+  /// (class-stats pass, accrual, cell attribution, densify) and the whole-run
+  /// side (merge/retention).  On a forked tick (see
+  /// CorrelationDaemon::kForkMinReaders) the two sides overlap, so this is
+  /// less than the CPU they spent together.
   double build_seconds = 0.0;
-  /// The densify share of build_seconds alone: expanding the window's sparse
-  /// pair weights into the dense N x N map.
+  /// The densify share of the window side alone: expanding the window's
+  /// sparse pair weights into the dense N x N map (timed on whichever thread
+  /// ran the window side).
   double densify_seconds = 0.0;
   /// Relative ABS distance vs the previous epoch's TCM (nullopt on the
   /// first epoch).
@@ -153,6 +164,16 @@ struct RetentionPolicy {
 
 class CorrelationDaemon {
  public:
+  /// Reader entries in an epoch's CSR from which run_epoch forks its window
+  /// side onto a helper thread; smaller epochs run both sides inline.
+  /// Measured with perfbench on a 4-vCPU Xeon: a governed 16-thread serving
+  /// epoch (typically about 5k readers, whole-run side about 0.09 ms) has
+  /// little to overlap, and even a helper parked on a condition variable
+  /// and woken every epoch cost it about 15% of its median tick, so it
+  /// stays inline; a 128-thread full-sampling epoch (about 51k readers,
+  /// 1.5-2.5 ms per side) forks and loses about a quarter of its tick.
+  static constexpr std::size_t kForkMinReaders = 8192;
+
   CorrelationDaemon(SamplingPlan& plan, std::uint32_t threads);
 
   /// The only delivery path: drains every published arena out of `hub`
@@ -191,7 +212,11 @@ class CorrelationDaemon {
   /// (the Djvm pump hook assembles it from GOS/network deltas); fields left
   /// zero are filled in from the slices themselves (entries, wire bytes) and
   /// the build timers.  Consumes the pending arenas, merging the same CSR
-  /// into the whole-run accumulator behind build_full().
+  /// into the whole-run accumulator behind build_full().  When the CSR holds
+  /// at least kForkMinReaders reader entries, the window side (class stats,
+  /// accrual, attribution, densify) runs on one helper thread alongside the
+  /// whole-run merge and is joined before the governor runs; the results do
+  /// not depend on whether the tick forked.
   EpochResult run_epoch(OverheadSample sample = {});
 
   /// Hands the daemon the balancer's current thread-to-node placement; the
@@ -271,6 +296,15 @@ class CorrelationDaemon {
   void filter_arena(OalArena& arena) const;
   /// One CSR over every pending arena slice (the epoch's single reorganize).
   ReaderArena reorganize_pending();
+  /// The tick's window side: the plan's per-class epoch stats and the
+  /// home-mass pass over the pending entries, then accrual, cell attribution
+  /// and densify over `csr`.  Writes only the plan's epoch stats and
+  /// out.tcm, out.cells and out.densify_seconds.
+  void fold_window(const ReaderArena& csr, EpochResult& out);
+  /// The tick's whole-run side: the merge into full_ and, under retention,
+  /// the epoch advance and compaction.  Writes only full_, dropped_objects_
+  /// and out's retention fields.
+  void fold_whole_run(const ReaderArena& csr, EpochResult& out);
   /// Recycles consumed pending arenas back to their lanes.
   void release_pending_arenas();
 

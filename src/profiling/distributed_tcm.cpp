@@ -85,26 +85,14 @@ SquareMatrix DistributedTcmReducer::accrue_parallel(const ReaderArena& arena,
   // the loop.
   const unsigned workers = std::min<unsigned>(
       threads_hw, std::max(1u, std::thread::hardware_concurrency()));
-  std::vector<UpperTriangle> partials(workers, UpperTriangle(threads));
+  std::vector<UpperTriangle> partials(workers);
   std::vector<std::thread> pool;
   pool.reserve(workers);
   const std::size_t chunk = (count + workers - 1) / workers;
   for (unsigned w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
-      const std::size_t lo = w * chunk;
-      const std::size_t hi = std::min(count, lo + chunk);
-      UpperTriangle& pairs = partials[w];
-      for (std::size_t k = lo; k < hi; ++k) {
-        const auto r = arena.readers_of(k);
-        for (std::size_t i = 0; i < r.size(); ++i) {
-          if (r[i].first >= threads) continue;
-          for (std::size_t j = i + 1; j < r.size(); ++j) {
-            if (r[j].first >= threads) continue;
-            pairs.add(r[i].first, r[j].first,
-                      std::min(r[i].second, r[j].second));
-          }
-        }
-      }
+      partials[w] =
+          TcmBuilder::accrue_sparse(arena, threads, w * chunk, (w + 1) * chunk);
     });
   }
   for (std::thread& t : pool) t.join();

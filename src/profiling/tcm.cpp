@@ -167,9 +167,11 @@ ReaderArena TcmBuilder::merge_arenas(const ReaderArena& a, const ReaderArena& b,
 // --- accrual ------------------------------------------------------------------
 
 UpperTriangle TcmBuilder::accrue_sparse(const ReaderArena& arena,
-                                        std::uint32_t threads) {
+                                        std::uint32_t threads,
+                                        std::size_t first, std::size_t last) {
   UpperTriangle pairs(threads);
-  for (std::size_t k = 0; k < arena.object_count(); ++k) {
+  last = std::min(last, arena.object_count());
+  for (std::size_t k = first; k < last; ++k) {
     const auto r = arena.readers_of(k);
     for (std::size_t i = 0; i < r.size(); ++i) {
       if (r[i].first >= threads) continue;

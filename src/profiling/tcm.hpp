@@ -169,11 +169,15 @@ class TcmBuilder {
                                                 const ReaderArena& b,
                                                 ArenaScratch& scratch);
 
-  /// Accrues an arena into an upper-triangular accumulator: cell (i, j)
-  /// gains min(bytes_i, bytes_j) per object shared by threads i and j.
-  /// Readers at or beyond `threads` are skipped.
-  [[nodiscard]] static UpperTriangle accrue_sparse(const ReaderArena& arena,
-                                                   std::uint32_t threads);
+  /// Accrues an arena's objects [first, last) into an upper-triangular
+  /// accumulator: cell (i, j) gains min(bytes_i, bytes_j) per object shared
+  /// by threads i and j.  Readers at or beyond `threads` are skipped.  The
+  /// default range is the whole arena; disjoint ranges give independent
+  /// partials whose cell-wise sum is the whole arena's accumulator (the
+  /// sharded accrual of DistributedTcmReducer::accrue_parallel).
+  [[nodiscard]] static UpperTriangle accrue_sparse(
+      const ReaderArena& arena, std::uint32_t threads, std::size_t first = 0,
+      std::size_t last = static_cast<std::size_t>(-1));
 
   /// Splits the arena's pair mass by owning class against `node_of_thread`
   /// (the balancer's current co-location partition): for every object, each

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <string>
@@ -612,25 +613,34 @@ std::vector<IntervalRecord> diff_epoch(SplitMix64& rng, int epoch,
   return out;
 }
 
+/// Shape of a differential stream: map dimension, object ids [0, objects),
+/// and registered classes [0, classes).
+struct StreamDims {
+  std::uint32_t threads;
+  std::uint64_t objects;
+  std::uint32_t classes;
+};
+constexpr StreamDims kDiffDims{kDiffThreads, kDiffObjects, kDiffClasses};
+
 /// Brute-force attribution: per object, its first in-registry class, the
 /// per-thread max weighted bytes, and every reader pair's min.
 TcmClassAttribution brute_force_cells(const std::vector<IntervalRecord>& rs,
                                       const std::vector<NodeId>& placement,
-                                      const Heap& heap) {
-  std::vector<ClassId> klass(kDiffObjects, kInvalidClass);
+                                      const Heap& heap, const StreamDims& d) {
+  std::vector<ClassId> klass(d.objects, kInvalidClass);
   std::vector<std::vector<double>> bytes(
-      kDiffObjects, std::vector<double>(kDiffThreads, 0.0));
+      d.objects, std::vector<double>(d.threads, 0.0));
   TcmClassAttribution out;
-  out.cut_bytes.assign(kDiffClasses, 0.0);
-  out.local_bytes.assign(kDiffClasses, 0.0);
-  out.home_mass.assign(kDiffClasses, 0.0);
-  out.thread_mass.assign(kDiffClasses, std::vector<double>(kDiffThreads, 0.0));
+  out.cut_bytes.assign(d.classes, 0.0);
+  out.local_bytes.assign(d.classes, 0.0);
+  out.home_mass.assign(d.classes, 0.0);
+  out.thread_mass.assign(d.classes, std::vector<double>(d.threads, 0.0));
   for (const IntervalRecord& r : rs) {
     for (const OalEntry& e : r.entries) {
-      const ClassId c = e.klass < kDiffClasses ? e.klass : kInvalidClass;
+      const ClassId c = e.klass < d.classes ? e.klass : kInvalidClass;
       if (klass[e.obj] == kInvalidClass) klass[e.obj] = c;
       const double w = static_cast<double>(e.bytes) * e.gap;
-      if (r.thread < kDiffThreads) {
+      if (r.thread < d.threads) {
         bytes[e.obj][r.thread] = std::max(bytes[e.obj][r.thread], w);
       }
       if (c != kInvalidClass && heap.meta(e.obj).home != r.node) {
@@ -641,10 +651,10 @@ TcmClassAttribution brute_force_cells(const std::vector<IntervalRecord>& rs,
   const auto node_of = [&](ThreadId t) {
     return t < placement.size() ? placement[t] : kInvalidNode;
   };
-  for (ObjectId o = 0; o < kDiffObjects; ++o) {
+  for (ObjectId o = 0; o < d.objects; ++o) {
     if (klass[o] == kInvalidClass) continue;
-    for (ThreadId i = 0; i < kDiffThreads; ++i) {
-      for (ThreadId j = i + 1; j < kDiffThreads; ++j) {
+    for (ThreadId i = 0; i < d.threads; ++i) {
+      for (ThreadId j = i + 1; j < d.threads; ++j) {
         const double w = std::min(bytes[o][i], bytes[o][j]);
         if (w <= 0.0) continue;
         const NodeId ni = node_of(i);
@@ -663,17 +673,17 @@ TcmClassAttribution brute_force_cells(const std::vector<IntervalRecord>& rs,
 }
 
 void expect_cells_near(const TcmClassAttribution& got,
-                       const TcmClassAttribution& want) {
+                       const TcmClassAttribution& want, const StreamDims& d) {
   const auto at = [](const std::vector<double>& v, std::size_t i) {
     return i < v.size() ? v[i] : 0.0;
   };
-  ASSERT_LE(got.cut_bytes.size(), kDiffClasses);
-  ASSERT_LE(got.home_mass.size(), kDiffClasses);
-  for (std::size_t c = 0; c < kDiffClasses; ++c) {
+  ASSERT_LE(got.cut_bytes.size(), d.classes);
+  ASSERT_LE(got.home_mass.size(), d.classes);
+  for (std::size_t c = 0; c < d.classes; ++c) {
     EXPECT_NEAR(at(got.cut_bytes, c), want.cut_bytes[c], 1e-9) << c;
     EXPECT_NEAR(at(got.local_bytes, c), want.local_bytes[c], 1e-9) << c;
     EXPECT_NEAR(at(got.home_mass, c), want.home_mass[c], 1e-9) << c;
-    for (ThreadId t = 0; t < kDiffThreads; ++t) {
+    for (ThreadId t = 0; t < d.threads; ++t) {
       const double g =
           c < got.thread_mass.size() ? at(got.thread_mass[c], t) : 0.0;
       EXPECT_NEAR(g, want.thread_mass[c][t], 1e-9)
@@ -763,7 +773,9 @@ TEST_P(SingleFoldDaemonDiff, MatchesOraclesOnRandomStreams) {
         expect_maps_equal(out.tcm,
                           TcmBuilder::build_reference(rs, kDiffThreads),
                           "epoch map vs build_reference");
-        expect_cells_near(out.cells, brute_force_cells(rs, placement, heap));
+        expect_cells_near(out.cells,
+                          brute_force_cells(rs, placement, heap, kDiffDims),
+                          kDiffDims);
         dropped = out.dropped_objects;
         if (HasFailure()) return;  // one failing epoch is enough to report
       }
@@ -828,6 +840,329 @@ TEST_P(SingleFoldDaemonDiff, MatchesOraclesOnRandomStreams) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SingleFoldDaemonDiff, ::testing::Range(0, 12));
+
+// --- forked tick: the window side on a helper thread --------------------------
+//
+// run_epoch folds an epoch whose CSR holds at least
+// CorrelationDaemon::kForkMinReaders reader entries on two threads: the
+// window side (class stats, accrual, cell attribution, densify) on a helper,
+// the whole-run side (merge, decaying retention) on the caller.  This stream
+// alternates epochs above and below that cutoff with every window-side
+// consumer on (the closed-loop governor reads the class stats, an influence
+// placement asks for cells) and checks each output against its oracle: the
+// window map and build_full against build_reference, the cells against a
+// brute-force walk, the plan's class stats against a recount, and a replay
+// of the whole run bit for bit.
+
+constexpr std::uint32_t kForkThreads = 48;
+constexpr std::uint32_t kForkNodes = 4;
+constexpr std::uint32_t kForkClasses = 3;
+constexpr std::uint64_t kForkObjects = 400;
+constexpr StreamDims kForkDims{kForkThreads, kForkObjects, kForkClasses};
+// Byte values are multiples of 64, and with at most 8 epochs (idle 2,
+// compact every epoch) an object decays at most 6 times, so every decayed
+// reader value stays an integer build_reference can express.
+constexpr int kForkEpochs = 8;
+constexpr RetentionPolicy kForkRetention{2, 0.5, 1};
+
+/// One epoch of records.  Even epochs are large: every thread (and three
+/// past the map's dimension) reads each of 180 objects, over 9k CSR reader
+/// entries.  Odd epochs are small: 30 objects, each thread reading about
+/// half of them.  The object window slides by 70 each epoch and wraps, so
+/// objects go stale, decay or drop, and come back.  Some entries repeat an
+/// (object, thread) at other byte values, and some carry an invalid or
+/// out-of-registry class.
+std::vector<IntervalRecord> fork_epoch(SplitMix64& rng, int epoch,
+                                       const std::vector<ClassId>& class_of) {
+  const bool large = epoch % 2 == 0;
+  const std::uint64_t start = static_cast<std::uint64_t>(epoch) * 70;
+  const std::uint64_t span = large ? 180 : 30;
+  const auto entry = [&](ObjectId obj) {
+    OalEntry e;
+    e.obj = obj;
+    const std::uint64_t roll = rng.next_below(20);
+    e.klass = roll == 0 ? kInvalidClass
+              : roll == 1
+                  ? kForkClasses + static_cast<ClassId>(rng.next_below(5))
+                  : class_of[obj];
+    // Every fifth object is dust (one weighted byte): retention drops it on
+    // its first stale pass instead of decaying it.
+    const bool dust = obj % 5 == 0;
+    e.bytes = dust ? 1 : static_cast<std::uint32_t>(64 * (1 + rng.next_below(4)));
+    e.gap = dust ? 1 : static_cast<std::uint32_t>(1 + rng.next_below(3));
+    return e;
+  };
+  std::vector<IntervalRecord> out;
+  IntervalId next = 0;
+  for (ThreadId t = 0; t < kForkThreads + 3; ++t) {
+    IntervalRecord r;
+    const auto close = [&] {
+      if (r.entries.empty()) return;
+      r.thread = t;
+      r.interval = next++;
+      r.node = static_cast<NodeId>(t % kForkNodes);
+      out.push_back(std::move(r));
+      r = IntervalRecord{};
+    };
+    for (std::uint64_t k = 0; k < span; ++k) {
+      if (!large && rng.next_below(2) == 0) continue;
+      const ObjectId obj = (start + k) % kForkObjects;
+      r.entries.push_back(entry(obj));
+      if (rng.next_below(4) == 0) r.entries.push_back(entry(obj));
+      if (r.entries.size() >= 24) close();
+    }
+    close();
+  }
+  for (std::size_t i = out.size(); i > 1; --i) {
+    std::swap(out[i - 1], out[rng.next_below(i)]);
+  }
+  return out;
+}
+
+/// The plan's epoch stats recounted from the records: per class, and per
+/// (node, class), entries and bytes x gap, classes beyond the registry
+/// untagged as ingest untags them.
+void expect_class_stats(const SamplingPlan& plan,
+                        const std::vector<IntervalRecord>& rs) {
+  std::vector<ClassEpochStats> cluster(kForkClasses);
+  std::vector<std::vector<ClassEpochStats>> nodes(
+      kForkNodes, std::vector<ClassEpochStats>(kForkClasses));
+  for (const IntervalRecord& r : rs) {
+    for (const OalEntry& e : r.entries) {
+      if (e.klass >= kForkClasses) continue;
+      const std::uint64_t est = std::uint64_t{e.bytes} * e.gap;
+      ++cluster[e.klass].entries;
+      cluster[e.klass].estimated_bytes += est;
+      ++nodes[r.node][e.klass].entries;
+      nodes[r.node][e.klass].estimated_bytes += est;
+    }
+  }
+  const auto at = [](const std::vector<ClassEpochStats>& row, std::size_t c) {
+    return c < row.size() ? row[c] : ClassEpochStats{};
+  };
+  ASSERT_LE(plan.node_epoch_stats().size(), kForkNodes);
+  for (std::size_t c = 0; c < kForkClasses; ++c) {
+    EXPECT_EQ(at(plan.epoch_stats(), c).entries, cluster[c].entries) << c;
+    EXPECT_EQ(at(plan.epoch_stats(), c).estimated_bytes,
+              cluster[c].estimated_bytes)
+        << c;
+    for (std::size_t n = 0; n < kForkNodes; ++n) {
+      const ClassEpochStats got = n < plan.node_epoch_stats().size()
+                                      ? at(plan.node_epoch_stats()[n], c)
+                                      : ClassEpochStats{};
+      EXPECT_EQ(got.entries, nodes[n][c].entries) << "node " << n << " class " << c;
+      EXPECT_EQ(got.estimated_bytes, nodes[n][c].estimated_bytes)
+          << "node " << n << " class " << c;
+    }
+  }
+}
+
+struct ForkedRun {
+  std::vector<EpochResult> epochs;
+  /// Per epoch, every class's real gap after the governor's decision.
+  std::vector<std::vector<std::uint32_t>> gaps;
+  SquareMatrix full;
+  std::size_t forked = 0;  ///< epochs at or above the cutoff
+  std::size_t inline_epochs = 0;
+};
+
+/// Runs the forked-tick stream through a fresh daemon; with `check`, asserts
+/// every oracle along the way.
+ForkedRun run_forked_ticks(bool check) {
+  ForkedRun run;
+  KlassRegistry reg;
+  Heap heap(reg, kForkNodes);
+  for (std::uint32_t c = 0; c < kForkClasses; ++c) {
+    reg.register_class("C" + std::to_string(c), 64);
+  }
+  SamplingPlan plan(heap);
+  SplitMix64 rng(0xF0F0CAFEull);
+  std::vector<ClassId> class_of;
+  for (ObjectId o = 0; o < kForkObjects; ++o) {
+    class_of.push_back(static_cast<ClassId>(rng.next_below(kForkClasses)));
+    const ObjectId id =
+        heap.alloc(class_of.back(),
+                   static_cast<NodeId>(rng.next_below(kForkNodes)));
+    plan.on_alloc(id);
+  }
+
+  IngestHub hub(IngestConfig{});
+  hub.ensure_lanes(1);
+  CorrelationDaemon daemon(plan, kForkThreads);
+  GovernorConfig gov;
+  gov.meter_window = 1;  // decide on each epoch's own sample
+  daemon.governor().arm(gov);
+  daemon.set_retention(kForkRetention);
+  std::vector<NodeId> placement(kForkThreads - 5);  // last threads unplaced
+  for (NodeId& n : placement) {
+    n = static_cast<NodeId>(rng.next_below(kForkNodes));
+  }
+  daemon.set_influence_placement(placement);
+
+  // The whole-run oracle: each object's live entries with the number of
+  // decay passes each has been through, and the epoch it was last read in
+  // by an in-range thread (-1 = not held).  Retention's compact runs after
+  // every consumed epoch.
+  struct LiveEntry {
+    IntervalRecord rec;  ///< one entry, as logged
+    int decays = 0;
+  };
+  std::vector<std::vector<LiveEntry>> live(kForkObjects);
+  std::vector<int> last_touch(kForkObjects, -1);
+  std::size_t dropped = 0;
+
+  for (int epoch = 0; epoch < kForkEpochs; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    const std::vector<IntervalRecord> rs = fork_epoch(rng, epoch, class_of);
+    for (const IntervalRecord& r : rs) {
+      hub.append(0, r.thread, r.interval, r.node, r.start_pc, r.end_pc,
+                 r.entries);
+    }
+    hub.flush(0);
+    daemon.ingest(hub);
+    const bool forks =
+        csr_of(rs, /*weighted=*/true).readers.size() >=
+        CorrelationDaemon::kForkMinReaders;
+
+    // The last epoch stays unconsumed: build_full folds it.
+    const bool last = epoch + 1 == kForkEpochs;
+    if (!last) {
+      ++(forks ? run.forked : run.inline_epochs);
+      OverheadSample sample;
+      sample.measured = true;
+      sample.app_seconds = 1.0;
+      // Over budget every third epoch (back-off ranks classes by their
+      // epoch stats), under it otherwise (tighten).
+      sample.access_check_seconds = epoch % 3 == 0 ? 0.1 : 0.001;
+      run.epochs.push_back(daemon.run_epoch(sample));
+      std::vector<std::uint32_t>& gaps = run.gaps.emplace_back();
+      for (ClassId c = 0; c < kForkClasses; ++c) {
+        gaps.push_back(plan.real_gap(c));
+      }
+      if (check) {
+        const EpochResult& out = run.epochs.back();
+        expect_maps_equal(out.tcm,
+                          TcmBuilder::build_reference(rs, kForkThreads),
+                          "epoch map vs build_reference");
+        expect_cells_near(out.cells,
+                          brute_force_cells(rs, placement, heap, kForkDims),
+                          kForkDims);
+        expect_class_stats(plan, rs);
+        if (epoch > 0) {
+          EXPECT_EQ(out.rel_distance,
+                    std::optional<double>(absolute_error(
+                        out.tcm, run.epochs[epoch - 1].tcm)));
+        }
+        dropped = out.dropped_objects;
+      }
+    }
+
+    for (const IntervalRecord& r : rs) {
+      if (r.thread >= kForkThreads) continue;  // never reaches the map
+      for (const OalEntry& e : r.entries) {
+        IntervalRecord one = r;
+        one.entries = {e};
+        live[e.obj].push_back(LiveEntry{std::move(one), 0});
+        last_touch[e.obj] = epoch;
+      }
+    }
+    if (last) break;
+    // compact(idle 2, decay 0.5) after advancing to epoch + 1: a stale
+    // object decays while half its largest reader value is still a byte,
+    // and drops once it is not.
+    for (ObjectId o = 0; o < kForkObjects; ++o) {
+      if (last_touch[o] < 0 ||
+          epoch + 1 - last_touch[o] <
+              static_cast<int>(kForkRetention.idle_epochs)) {
+        continue;
+      }
+      double max_bytes = 0.0;
+      for (const LiveEntry& le : live[o]) {
+        const OalEntry& e = le.rec.entries.front();
+        max_bytes = std::max(max_bytes, std::ldexp(double(e.bytes) * e.gap,
+                                                   -le.decays));
+      }
+      if (kForkRetention.decay * max_bytes >= 1.0) {
+        for (LiveEntry& le : live[o]) ++le.decays;
+      } else {
+        live[o].clear();
+        last_touch[o] = -1;
+      }
+    }
+  }
+
+  run.full = daemon.build_full();
+  if (check) {
+    std::vector<IntervalRecord> kept;
+    std::size_t decayed_kept = 0;
+    for (const auto& per_object : live) {
+      bool decayed = false;
+      for (const LiveEntry& le : per_object) {
+        IntervalRecord r = le.rec;
+        OalEntry& e = r.entries.front();
+        const std::uint32_t scale = 1u << le.decays;
+        EXPECT_EQ(e.bytes % scale, 0u) << "decayed bytes must stay integral";
+        e.bytes /= scale;
+        decayed |= le.decays > 0;
+        kept.push_back(std::move(r));
+      }
+      decayed_kept += decayed;
+    }
+    expect_maps_equal(run.full, TcmBuilder::build_reference(kept, kForkThreads),
+                      "build_full vs build_reference over live entries");
+    EXPECT_GT(dropped, 0u) << "the stream must exercise eviction";
+    EXPECT_GT(decayed_kept, 0u) << "the stream must keep decayed objects";
+  }
+  return run;
+}
+
+void expect_results_identical(const EpochResult& a, const EpochResult& b) {
+  EXPECT_EQ(a.tcm, b.tcm);
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_EQ(a.intervals, b.intervals);
+  EXPECT_EQ(a.entries, b.entries);
+  EXPECT_EQ(a.rel_distance, b.rel_distance);
+  EXPECT_EQ(a.rate_changed, b.rate_changed);
+  EXPECT_EQ(a.resampled_objects, b.resampled_objects);
+  EXPECT_EQ(a.action, b.action);
+  EXPECT_EQ(a.cells.cut_bytes, b.cells.cut_bytes);
+  EXPECT_EQ(a.cells.local_bytes, b.cells.local_bytes);
+  EXPECT_EQ(a.cells.thread_mass, b.cells.thread_mass);
+  EXPECT_EQ(a.cells.home_mass, b.cells.home_mass);
+  EXPECT_EQ(a.overhead_fraction, b.overhead_fraction);
+  EXPECT_EQ(a.offender, b.offender);
+  EXPECT_EQ(a.offender_fraction, b.offender_fraction);
+  EXPECT_EQ(a.node_fractions, b.node_fractions);
+  EXPECT_EQ(a.retained_objects, b.retained_objects);
+  EXPECT_EQ(a.retained_readers, b.retained_readers);
+  EXPECT_EQ(a.dropped_objects, b.dropped_objects);
+  EXPECT_EQ(a.ring_published, b.ring_published);
+  EXPECT_EQ(a.ring_entries, b.ring_entries);
+  EXPECT_EQ(a.ring_backpressure, b.ring_backpressure);
+  EXPECT_EQ(a.sample.wire_bytes, b.sample.wire_bytes);
+  EXPECT_EQ(a.sample.access_check_seconds, b.sample.access_check_seconds);
+}
+
+TEST(ForkedTick, MatchesOraclesAndReplaysOnBothSidesOfTheCutoff) {
+  const ForkedRun first = run_forked_ticks(/*check=*/true);
+  if (HasFailure()) return;
+  EXPECT_GE(first.forked, 2u) << "epochs at or above kForkMinReaders";
+  EXPECT_GE(first.inline_epochs, 2u) << "epochs below kForkMinReaders";
+  bool backed_off = false;
+  for (const EpochResult& e : first.epochs) {
+    backed_off |= e.action == GovernorAction::kBackOff;
+  }
+  EXPECT_TRUE(backed_off) << "the governor must act on the class stats";
+
+  const ForkedRun second = run_forked_ticks(/*check=*/false);
+  ASSERT_EQ(first.epochs.size(), second.epochs.size());
+  for (std::size_t i = 0; i < first.epochs.size(); ++i) {
+    SCOPED_TRACE("epoch " + std::to_string(i));
+    expect_results_identical(first.epochs[i], second.epochs[i]);
+  }
+  EXPECT_EQ(first.gaps, second.gaps);
+  EXPECT_EQ(first.full, second.full);
+}
 
 }  // namespace
 }  // namespace djvm
