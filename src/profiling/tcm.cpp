@@ -286,7 +286,7 @@ std::size_t TcmAccumulator::assign_slot(ObjectId obj) {
     touched_.push_back(obj);
     blocks_.push_back(Block{});
     last_touch_.push_back(epoch_);
-    decay_epoch_.push_back(kNeverDecayed);
+    missed_.push_back(kNotIdle);
   }
   return static_cast<std::size_t>(slot);
 }
@@ -333,6 +333,32 @@ void TcmAccumulator::reserve_readers(std::size_t slot, std::uint32_t want) {
   block.cap = cap;
 }
 
+void TcmAccumulator::add_share(const Block& block, UpperTriangle& tri,
+                               double scale) {
+  const ThreadId* threads = reader_thread_.data() + block.offset;
+  const double* held = reader_bytes_.data() + block.offset;
+  for (std::uint32_t i = 0; i < block.count; ++i) {
+    for (std::uint32_t j = i + 1; j < block.count; ++j) {
+      const double w = std::min(held[i], held[j]);
+      if (w > 0.0) tri.add(threads[i], threads[j], scale * w);
+    }
+  }
+}
+
+void TcmAccumulator::leave_pool(std::size_t slot) {
+  const Block& block = blocks_[slot];
+  double* held = reader_bytes_.data() + block.offset;
+  // One multiplication per missed pass, as the per-object decay scaled the
+  // bytes: the values come out bit for bit the same for any decay.
+  for (std::uint32_t pass = 0; pass < missed_[slot]; ++pass) {
+    for (std::uint32_t r = 0; r < block.count; ++r) held[r] *= idle_decay_;
+  }
+  add_share(block, idle_, -1.0);
+  missed_[slot] = kNotIdle;
+  // An empty pool owes nothing: clear the rounding residue.
+  if (--idle_count_ == 0) idle_.clear();
+}
+
 void TcmAccumulator::raise_reader(std::size_t slot, std::uint32_t pos,
                                   double bytes) {
   const Block& block = blocks_[slot];
@@ -370,6 +396,7 @@ void TcmAccumulator::add_one(ObjectId obj, ThreadId thread, double bytes) {
   if (thread >= threads_) return;  // beyond the map's dimension (as accrue)
   const std::size_t slot = assign_slot(obj);
   last_touch_[slot] = epoch_;
+  if (idle_count_ != 0 && missed_[slot] != kNotIdle) leave_pool(slot);
   const Block& block = blocks_[slot];
   const ThreadId* threads = reader_thread_.data() + block.offset;
   for (std::uint32_t r = 0; r < block.count; ++r) {
@@ -400,6 +427,7 @@ void TcmAccumulator::add_readers(
   }
   const std::size_t slot = assign_slot(obj);
   last_touch_[slot] = epoch_;
+  if (idle_count_ != 0 && missed_[slot] != kNotIdle) leave_pool(slot);
   // Several readers: index the object's block by thread once, so each
   // incoming reader finds its cell in O(1), and count the readers the block
   // does not hold yet (kNone marks them) so it grows at most once.  The pair
@@ -435,11 +463,14 @@ void TcmAccumulator::reset() {
   touched_.clear();
   blocks_.clear();
   last_touch_.clear();
-  decay_epoch_.clear();
+  missed_.clear();
   reader_thread_.clear();
   reader_bytes_.clear();
   std::fill(free_blocks_.begin(), free_blocks_.end(), kNone);
   pairs_.clear();
+  idle_.clear();
+  idle_count_ = 0;
+  decayed_epoch_ = kNeverDecayed;
   live_readers_ = 0;
   epoch_ = 0;
 }
@@ -448,52 +479,80 @@ TcmCompactStats TcmAccumulator::compact(std::uint32_t idle_epochs,
                                         double decay) {
   TcmCompactStats stats;
   if (idle_epochs == 0) return stats;  // age 0 would evict the live epoch too
+  if (idle_count_ != 0 && decay != idle_decay_) {
+    // The pool's missed passes were counted at the old rate: apply them, so
+    // this pass sees every object's bytes as they stand.
+    for (std::size_t slot = 0; slot < touched_.size(); ++slot) {
+      if (missed_[slot] != kNotIdle) leave_pool(slot);
+    }
+  }
+  if (decay > 0.0) {
+    if (decayed_epoch_ == epoch_) return stats;  // decayed this epoch already
+    decayed_epoch_ = epoch_;
+    idle_decay_ = decay;
+  }
   bool any_dead = false;
   for (std::size_t slot = 0; slot < touched_.size(); ++slot) {
     Block& block = blocks_[slot];
     if (block.count == 0) continue;  // already evicted, awaiting compact
     const std::uint32_t age = epoch_ - last_touch_[slot];
-    if (age < idle_epochs) continue;
-    const ThreadId* threads = reader_thread_.data() + block.offset;
-    double* held = reader_bytes_.data() + block.offset;
+    if (age < idle_epochs) {
+      // Not stale at this idle bound (a larger one than the last pass's):
+      // a pooled object leaves the pool, which decays only stale objects.
+      if (idle_count_ != 0 && missed_[slot] != kNotIdle) leave_pool(slot);
+      continue;
+    }
+    const double* held = reader_bytes_.data() + block.offset;
 
     if (decay > 0.0) {
-      if (decay_epoch_[slot] == epoch_) continue;  // idempotent per epoch
-      const double max_bytes = *std::max_element(held, held + block.count);
+      const bool pooled = missed_[slot] != kNotIdle;
+      // A pooled object still holds the bytes it joined with: scale their
+      // largest by each missed pass, as leave_pool scales every byte value.
+      double max_bytes = *std::max_element(held, held + block.count);
+      for (std::uint32_t pass = 0; pooled && pass < missed_[slot]; ++pass) {
+        max_bytes *= decay;
+      }
       if (decay * max_bytes >= 1.0) {
-        // Scaling every reader of this object by d scales each of its pair
-        // contributions min(b_i, b_j) by d as well: subtract the (1 - d)
-        // share, then scale the bytes, and the invariant holds over the
-        // decayed values.
-        for (std::uint32_t i = 0; i < block.count; ++i) {
-          for (std::uint32_t j = i + 1; j < block.count; ++j) {
-            const double w = std::min(held[i], held[j]);
-            if (w > 0.0) pairs_.add(threads[i], threads[j], -(1.0 - decay) * w);
-          }
+        if (!pooled) {
+          // Newly idle: its pair terms join the pool, which the pool pass
+          // below scales with everything already there.
+          if (idle_.size() == 0) idle_ = UpperTriangle(threads_);
+          add_share(block, idle_, 1.0);
+          missed_[slot] = 0;
+          ++idle_count_;
         }
-        for (std::uint32_t r = 0; r < block.count; ++r) held[r] *= decay;
-        decay_epoch_[slot] = epoch_;
+        ++missed_[slot];
         ++stats.decayed_objects;
         continue;
       }
-      // Decayed to less than a byte: dust — fall through to the drop path.
+      // Decayed to less than a byte: dust — fall through to the drop path
+      // with the bytes the missed passes left.
+      if (pooled) leave_pool(slot);
     }
 
     // Drop outright: subtract this object's exact pair contribution (byte
     // values are the ones the adds accumulated, so never-decayed objects
     // cancel exactly), return its block to the free chain for its capacity.
-    for (std::uint32_t i = 0; i < block.count; ++i) {
-      for (std::uint32_t j = i + 1; j < block.count; ++j) {
-        const double w = std::min(held[i], held[j]);
-        if (w > 0.0) pairs_.add(threads[i], threads[j], -w);
-      }
-    }
+    add_share(block, pairs_, -1.0);
     free_block(block);
     live_readers_ -= block.count;
     stats.freed_readers += block.count;
     block = Block{};
     any_dead = true;
     ++stats.dropped_objects;
+  }
+
+  if (idle_count_ != 0) {
+    // The pool pass: every pooled object decays by d, so its pair terms,
+    // in pairs_ and in the pool alike, lose (1 - d) of what they are now.
+    for (ThreadId i = 0; i < threads_; ++i) {
+      for (ThreadId j = i + 1; j < threads_; ++j) {
+        const double cut = (1.0 - decay) * idle_.at(i, j);
+        if (cut == 0.0) continue;
+        pairs_.add(i, j, -cut);
+        idle_.add(i, j, -cut);
+      }
+    }
   }
 
   if (any_dead) {
@@ -507,13 +566,13 @@ TcmCompactStats TcmAccumulator::compact(std::uint32_t idle_epochs,
       touched_[w] = touched_[slot];
       blocks_[w] = blocks_[slot];
       last_touch_[w] = last_touch_[slot];
-      decay_epoch_[w] = decay_epoch_[slot];
+      missed_[w] = missed_[slot];
       ++w;
     }
     touched_.resize(w);
     blocks_.resize(w);
     last_touch_.resize(w);
-    decay_epoch_.resize(w);
+    missed_.resize(w);
     for (std::size_t k = 0; k < w; ++k) {
       bool fresh = false;
       const std::int32_t s = slots_.get_or_assign(touched_[k], fresh);
@@ -528,11 +587,11 @@ std::size_t TcmAccumulator::memory_bytes() const noexcept {
   return touched_.capacity() * sizeof(ObjectId) +
          blocks_.capacity() * sizeof(Block) +
          last_touch_.capacity() * sizeof(std::uint32_t) +
-         decay_epoch_.capacity() * sizeof(std::uint32_t) +
+         missed_.capacity() * sizeof(std::uint32_t) +
          reader_thread_.capacity() * sizeof(ThreadId) +
          reader_bytes_.capacity() * sizeof(double) +
          free_blocks_.capacity() * sizeof(std::uint32_t) +
-         pairs_.cell_count() * sizeof(double);
+         (pairs_.cell_count() + idle_.cell_count()) * sizeof(double);
 }
 
 }  // namespace djvm

@@ -219,13 +219,27 @@ struct TcmCompactStats {
 /// weeks.  The retention pass (`advance_epoch` + `compact`) bounds it: an
 /// object untouched for `idle_epochs` retention epochs either decays (every
 /// reader byte value scaled by `decay`, the pair mass it contributed scaled
-/// to match — the invariant above is preserved exactly, just over decayed
-/// byte values) or, when `decay` is 0 or the decayed mass has shrunk below
-/// one byte, is dropped outright (its exact pair contribution subtracted,
-/// its reader block returned to a free chain, its slot compacted away).
-/// Because every drop/decay is recomputed from the object's own reader list,
-/// live objects are never perturbed: the map restricted to touched objects
-/// stays bit-for-bit the map a from-scratch build over their records yields.
+/// to match — the invariant above is preserved, just over decayed byte
+/// values) or, when `decay` is 0 or the decayed mass has shrunk below one
+/// byte, is dropped outright (its exact pair contribution subtracted, its
+/// reader block returned to a free chain, its slot compacted away).
+///
+/// Decay is paid per pool, not per object.  Scaling an object's readers by d
+/// scales each of its pair terms min(b_i, b_j) by d, so a second triangle,
+/// the idle pool, holds the share of the pairs owed to decaying objects.  An
+/// object joins the pool once, when it first goes stale (one update per
+/// reader pair), and from then on keeps its bytes as they were plus a count
+/// of the passes it missed; each pass decays the whole pool at once in
+/// O(threads^2).  Touching a pooled object again first applies its missed
+/// passes to its bytes (one multiplication per pass, so the bytes are the
+/// ones a per-object decay gives) and takes its share back out of the pool.
+/// The pass regroups the pair arithmetic but makes the same per-object
+/// decisions: the same objects decay and drop at the same epochs with the
+/// same bytes, and the pairs agree with a per-object decay bit for bit at
+/// d = 0.5 (power-of-two scaling of integer byte values is exact) and within
+/// rounding otherwise.  Live objects are never perturbed: the map restricted
+/// to touched objects stays the map a from-scratch build over their records
+/// yields.
 class TcmAccumulator {
  public:
   explicit TcmAccumulator(std::uint32_t threads);
@@ -254,9 +268,14 @@ class TcmAccumulator {
   /// One retention pass: objects untouched for at least `idle_epochs`
   /// retention epochs are decayed (readers scaled by `decay` in (0, 1),
   /// pair mass adjusted to keep the accumulator invariant) or dropped
-  /// (`decay` == 0, or the decayed mass fell below one byte).  Idempotent
-  /// within one epoch: a second pass finds nothing new to decay and nothing
-  /// left to drop.  O(stale reader-block mass + tracked objects).
+  /// (`decay` == 0, or the decayed mass fell below one byte).  Decay runs
+  /// at most once per retention epoch, so a second pass within one epoch
+  /// finds nothing to decay and nothing left to drop.  O(newly idle pair
+  /// mass + dropped pair mass + threads^2 + tracked objects), plus a linear
+  /// read of each pooled object's bytes and missed passes for the dust
+  /// test; a call whose `decay` differs from the previous pass's first
+  /// applies the pending decay of every pooled object (O(pooled pair
+  /// mass)).
   TcmCompactStats compact(std::uint32_t idle_epochs, double decay);
 
   /// Payload bytes currently held: vector capacities (slot columns, both
@@ -293,7 +312,9 @@ class TcmAccumulator {
   };
 
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-  /// decay_epoch_ sentinel: slot never decayed.
+  /// missed_ sentinel: the object is not in the idle pool.
+  static constexpr std::uint32_t kNotIdle = 0xFFFFFFFFu;
+  /// decayed_epoch_ sentinel: no decay pass has run.
   static constexpr std::uint32_t kNeverDecayed = 0xFFFFFFFFu;
 
   std::size_t assign_slot(ObjectId obj);
@@ -318,12 +339,19 @@ class TcmAccumulator {
   /// Pushes `block` onto the free chain for its capacity.
   void free_block(const Block& block);
 
+  /// Adds `scale` times the object's pair terms min(b_i, b_j) to `tri`.
+  void add_share(const Block& block, UpperTriangle& tri, double scale);
+  /// Takes the pooled object at `slot` out of the idle pool: applies its
+  /// missed passes to its bytes and subtracts its share from idle_.
+  void leave_pool(std::size_t slot);
+
   std::uint32_t threads_;
   ObjectSlotMap slots_;
   std::vector<ObjectId> touched_;         ///< slot -> object id
   std::vector<Block> blocks_;             ///< slot -> reader block
   std::vector<std::uint32_t> last_touch_; ///< slot -> retention epoch last folded
-  std::vector<std::uint32_t> decay_epoch_;///< slot -> epoch last decayed
+  /// slot -> decay passes the pooled object missed (kNotIdle = not pooled)
+  std::vector<std::uint32_t> missed_;
   /// Every object's readers, split by field: block b's thread ids and byte
   /// values sit at the same cells of the two arrays.
   std::vector<ThreadId> reader_thread_;
@@ -339,6 +367,12 @@ class TcmAccumulator {
   std::vector<std::uint64_t> where_stamp_;
   std::uint64_t stamp_ = 0;
   UpperTriangle pairs_;
+  /// The idle pool: the share of pairs_ owed to pooled objects, allocated
+  /// on the first decay pass (size 0 until then).
+  UpperTriangle idle_;
+  std::size_t idle_count_ = 0;            ///< pooled objects
+  double idle_decay_ = 0.0;               ///< the decay the pool runs at
+  std::uint32_t decayed_epoch_ = kNeverDecayed;  ///< epoch of the last decay
   std::size_t live_readers_ = 0;
   std::uint32_t epoch_ = 0;               ///< retention clock
 };
